@@ -187,6 +187,8 @@ let sim_cmd =
         (fun (node, commits) ->
           Format.printf "post-recovery commits [replica %d]: %d@." node commits)
         r.post_recovery_commits;
+    if r.disk_bytes_written > 0 then
+      Format.printf "disk bytes written: %d@." r.disk_bytes_written;
     (match obs with
     | None -> ()
     | Some o ->

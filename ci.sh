@@ -54,6 +54,19 @@ if [ -z "$commits" ] || [ "$commits" -le 0 ]; then
   exit 1
 fi
 echo "replica 3 committed $commits vertices after recovering"
+# Pinned outcome. The bytes charged to the simulated disks set their
+# timing, and that timing decides which WAL records survive the crash: a
+# journal-format change that shifts it moves the disk byte count, and can
+# move the fingerprint or the post-recovery commit count.
+rec_fp=$(awk -F': ' '/^commit fingerprint/ { print $2 }' "$smoke_dir/rec1")
+rec_disk=$(awk -F': ' '/^disk bytes written/ { print $2 }' "$smoke_dir/rec1")
+if [ "$rec_fp" != "2329364689371423589" ] || [ "$commits" != "565" ] \
+  || [ "$rec_disk" != "3670507756" ]; then
+  echo "recovery smoke drifted: fingerprint $rec_fp (pinned 2329364689371423589)," \
+    "replica 3 post-recovery commits $commits (pinned 565)," \
+    "disk bytes $rec_disk (pinned 3670507756)"
+  exit 1
+fi
 rm -rf "$smoke_dir"
 
 echo "== n=50 scale smoke (sailfish, 2 s sim, 90 s wall budget) =="

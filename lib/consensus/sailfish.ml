@@ -1370,7 +1370,8 @@ let vertex_of t ~round ~source = Store.find t.store ~round ~source
 
 (* Heap census: this layer's retained state, split by subsystem. Slot
    bookkeeping is estimated flat (vote bitsets + share lists scale with n);
-   stored blocks are charged at their wire size. See docs/PROFILING.md. *)
+   stored blocks are charged the words they occupy, payloads excluded. See
+   docs/PROFILING.md. *)
 let census t =
   let n = Config.n t.config in
   let slot_words = Hashtbl.length t.slots * (24 + n) in
@@ -1388,7 +1389,7 @@ let census t =
       + Hashtbl.length t.no_vote_shares)
   in
   let block_words =
-    Hashtbl.fold (fun _ b acc -> acc + 8 + (Block.wire_size b / 8)) t.blocks 0
+    Hashtbl.fold (fun _ b acc -> acc + Block.approx_live_words b) t.blocks 0
   in
   [
     ("consensus.blocks", block_words);

@@ -80,11 +80,13 @@ let on_block_internal t (b : Block.t) =
   (match t.persist with
   | None -> ()
   | Some p ->
-      (* Journal the full block (recovery needs the payload back), plus the
-         metadata-only state write the execution path always made. *)
+      (* Journal the block (recovery needs its transactions back; the
+         record holds their headers, the disk is charged the modelled
+         payload), plus the metadata-only state write the execution path
+         always made. *)
       Persist.wal_append p
         ~key:(Printf.sprintf "wal/b/%d/%d" b.round b.proposer)
-        ~data:(Codec.encode_block b);
+        ~size:(Block.wire_size b) ~data:(Codec.encode_block b);
       Persist.put p
         ~key:(Printf.sprintf "block/%d/%d" b.round b.proposer)
         ~size:(Block.wire_size b)
@@ -99,15 +101,17 @@ let journal_deliver t (v : Vertex.t) =
   match t.persist with
   | None -> ()
   | Some p ->
+      let data = Codec.encode_vertex ~n:(Config.n t.config) v in
       Persist.wal_append p
         ~key:(Printf.sprintf "wal/v/%d/%d" v.round v.source)
-        ~data:(Codec.encode_vertex ~n:(Config.n t.config) v)
+        ~size:(String.length data) ~data
 
 let journal_propose t ~round =
   match t.persist with
   | None -> ()
   | Some p ->
-      Persist.wal_append p ~key:(Printf.sprintf "wal/p/%d" round) ~data:""
+      Persist.wal_append p ~key:(Printf.sprintf "wal/p/%d" round) ~size:0
+        ~data:""
 
 let create ~me ~config ~keychain ~engine ~net ?params ?obs
     ?(max_block_txns = 6000) ?persist ?generate ?on_commit ?on_txn_executed () =
@@ -165,11 +169,11 @@ let recover t =
       (* Blocks first so replayed vertices find their payloads, then
          vertices in journal (= insertion) order, then proposal markers. *)
       Persist.wal_iter p (fun ~key ~data ->
-          if String.length key > 6 && String.sub key 0 6 = "wal/b/" then
+          if String.starts_with ~prefix:"wal/b/" key then
             Sailfish.replay_block c (Codec.decode_block data));
       let compact = Config.sparse_edges t.config in
       Persist.wal_iter p (fun ~key ~data ->
-          if String.length key > 6 && String.sub key 0 6 = "wal/v/" then
+          if String.starts_with ~prefix:"wal/v/" key then
             Sailfish.replay_vertex c (Codec.decode_vertex ~n ~compact data));
       Persist.wal_iter p (fun ~key ~data:_ ->
           match Scanf.sscanf_opt key "wal/p/%d" (fun r -> r) with

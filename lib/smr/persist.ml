@@ -73,12 +73,12 @@ let backlog t = t.backlog
 (* ------------------------------------------------------------------ *)
 (* Write-ahead log *)
 
-let wal_append t ~key ~data =
+let wal_append t ~key ~size ~data =
   Prof.enter sec_append;
   if not (Hashtbl.mem t.wal_seen key) then begin
     Hashtbl.replace t.wal_seen key ();
     Hashtbl.replace t.wal_pending key ();
-    put t ~key ~size:(String.length data) ~data
+    put t ~key ~size ~data
       ~on_durable:(fun () ->
         Hashtbl.remove t.wal_pending key;
         t.wal_keys <- key :: t.wal_keys;

@@ -48,8 +48,13 @@ val backlog : t -> int
     replays the log after a restart (see [docs/RECOVERY.md]). Appends pay
     the same simulated disk costs as {!put}. *)
 
-val wal_append : t -> key:string -> data:string -> unit
-(** Queue one log record. A key already appended (durable {e or} still in
+val wal_append : t -> key:string -> size:int -> data:string -> unit
+(** Queue one log record. As with {!put}, the disk is charged [size] bytes
+    (latency, bandwidth and {!bytes_written}), not [String.length data]:
+    [size] is the record's modelled length, which exceeds the stored
+    [data] when the record stands for payload the simulator never holds
+    (a block journals its transaction headers but is charged its
+    [Block.wire_size]). A key already appended (durable {e or} still in
     flight) is skipped, so replay-then-relearn paths cannot double-journal
     a slot. The record becomes visible to {!wal_iter} once durable. *)
 

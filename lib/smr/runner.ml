@@ -82,6 +82,7 @@ type result = {
   commit_fingerprint : int;
   commit_chain : int array;
   post_recovery_commits : (int * int) list;
+  disk_bytes_written : int;
   census : (string * int) list;
 }
 
@@ -424,6 +425,8 @@ let run spec =
       List.map
         (fun (r : Faults.restart) -> (r.node, post_recovery.(r.node)))
         spec.restarts;
+    disk_bytes_written =
+      Array.fold_left (fun acc p -> acc + Persist.bytes_written p) 0 persist;
     census;
   }
 

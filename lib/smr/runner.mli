@@ -109,6 +109,10 @@ type result = {
           [recover_at] (WAL replay fires exactly at [recover_at], so this
           counts genuinely new post-recovery progress). Empty when
           [restarts] is empty. *)
+  disk_bytes_written : int;
+      (** Bytes charged to the simulated disks ([Persist.bytes_written]),
+          summed across replicas; 0 without persistence. Pins the modelled
+          journal size, which sets simulated disk timing. *)
   census : (string * int) list;
       (** End-of-run heap census, sorted by subsystem name: approximate
           live words per subsystem, summed across replicas, plus the shared

@@ -48,6 +48,13 @@ let digest t = t.digest
 let txn_count t = Array.length t.txns
 let wire_size t = t.wire_size
 
+(* Words, headers included: the 5-field record, the digest string (32
+   bytes plus the padding byte), the txns array, and a 4-field record per
+   transaction. Payloads are modelled by [size], never allocated. *)
+let approx_live_words t =
+  let txns = Array.length t.txns in
+  6 + ((Digest32.size / 8) + 2) + (1 + txns) + (5 * txns)
+
 let pp ppf t =
   Format.fprintf ppf "block(%d@r%d,%d txns,%a)" t.proposer t.round
     (Array.length t.txns) Digest32.pp t.digest

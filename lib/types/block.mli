@@ -23,4 +23,10 @@ val wire_size : t -> int
 (** 12-byte header + the transactions' wire bytes. O(1): computed once at
     construction. *)
 
+val approx_live_words : t -> int
+(** Heap-census hook: the words this block occupies — the record, its
+    digest, the [txns] array and five words per transaction. The modelled
+    payload bytes are not on the heap and are not counted. See
+    docs/PROFILING.md. *)
+
 val pp : Format.formatter -> t -> unit

@@ -9,7 +9,8 @@
 
     Encoding notes: integers are big-endian fixed width; signatures occupy
     the full κ = 64 wire bytes (zero-padded — the simulated tags are 32
-    bytes); transaction payloads are zero-filled to their declared size. *)
+    bytes); on the wire, transaction payloads are zero-filled to their
+    declared size. *)
 
 exception Decode_error of string
 
@@ -31,5 +32,16 @@ val decode : n:int -> ?compact:bool -> string -> Msg.t
 
 val encode_vertex : n:int -> Vertex.t -> string
 val decode_vertex : n:int -> ?compact:bool -> string -> Vertex.t
+
 val encode_block : Block.t -> string
+(** The store form of a block: its 12-byte header and each transaction's
+    24-byte header, whose [size] field carries the declared payload
+    length, with no payload padding — [12 + 24 * txns] bytes. A block's
+    modelled size is still {!Block.wire_size}; the store charges that to
+    its disk (see [Persist.wal_append ~size]). Blocks inside {!encode}d
+    messages keep the padded wire form, so
+    [String.length (encode ~n m) = Msg.wire_size ~n m] is unchanged. *)
+
 val decode_block : string -> Block.t
+(** Inverse of {!encode_block}: same digest, same transaction headers
+    (sizes included). Raises {!Decode_error} on malformed input. *)

@@ -14,9 +14,9 @@ module Store = Dag_store
 let test_wal_round_trip () =
   let engine = Engine.create () in
   let p = Persist.create ~engine () in
-  Persist.wal_append p ~key:"wal/v/1/0" ~data:"aaa";
-  Persist.wal_append p ~key:"wal/v/1/2" ~data:"bbb";
-  Persist.wal_append p ~key:"wal/b/1/0" ~data:"ccc";
+  Persist.wal_append p ~key:"wal/v/1/0" ~size:3 ~data:"aaa";
+  Persist.wal_append p ~key:"wal/v/1/2" ~size:3 ~data:"bbb";
+  Persist.wal_append p ~key:"wal/b/1/0" ~size:3 ~data:"ccc";
   Alcotest.(check int) "nothing durable yet" 0 (Persist.wal_size p);
   Engine.run engine;
   Alcotest.(check int) "all records durable" 3 (Persist.wal_size p);
@@ -30,29 +30,61 @@ let test_wal_round_trip () =
 let test_wal_dedup () =
   let engine = Engine.create () in
   let p = Persist.create ~engine () in
-  Persist.wal_append p ~key:"wal/v/1/0" ~data:"aaa";
+  Persist.wal_append p ~key:"wal/v/1/0" ~size:3 ~data:"aaa";
   (* duplicate while the first append is still in flight *)
-  Persist.wal_append p ~key:"wal/v/1/0" ~data:"aaa";
+  Persist.wal_append p ~key:"wal/v/1/0" ~size:3 ~data:"aaa";
   Engine.run engine;
   (* duplicate after it became durable *)
-  Persist.wal_append p ~key:"wal/v/1/0" ~data:"aaa";
+  Persist.wal_append p ~key:"wal/v/1/0" ~size:3 ~data:"aaa";
   Engine.run engine;
   Alcotest.(check int) "one record" 1 (Persist.wal_size p)
 
 let test_wal_crash_drops_pending () =
   let engine = Engine.create () in
   let p = Persist.create ~engine () in
-  Persist.wal_append p ~key:"a" ~data:"1";
+  Persist.wal_append p ~key:"a" ~size:1 ~data:"1";
   Engine.run engine;
-  Persist.wal_append p ~key:"b" ~data:"2";
+  Persist.wal_append p ~key:"b" ~size:1 ~data:"2";
   (* the process dies before "b" hits disk *)
   Persist.crash p;
   Engine.run engine;
   Alcotest.(check int) "only the durable prefix survives" 1 (Persist.wal_size p);
   (* a lost pending append may be re-journalled after the restart *)
-  Persist.wal_append p ~key:"b" ~data:"2";
+  Persist.wal_append p ~key:"b" ~size:1 ~data:"2";
   Engine.run engine;
   Alcotest.(check int) "re-append lands" 2 (Persist.wal_size p)
+
+(* A block record holds transaction headers only; the disk is still
+   charged the block's modelled wire size, and decoding restores the
+   digest and every declared payload size. *)
+let test_wal_block_record_size () =
+  let engine = Engine.create () in
+  let p = Persist.create ~engine () in
+  let txns =
+    Array.init 200 (fun i ->
+        Transaction.make ~id:i ~client:(i mod 7) ~created_at:(1000 + i)
+          ~size:512 ())
+  in
+  let b = Block.make ~proposer:3 ~round:9 ~txns in
+  let before = Persist.bytes_written p in
+  Persist.wal_append p ~key:"wal/b/9/3" ~size:(Block.wire_size b)
+    ~data:(Codec.encode_block b);
+  Engine.run engine;
+  Alcotest.(check int) "disk charged the wire size" (Block.wire_size b)
+    (Persist.bytes_written p - before);
+  let stored = ref [] in
+  Persist.wal_iter p (fun ~key:_ ~data -> stored := data :: !stored);
+  match !stored with
+  | [ data ] ->
+      Alcotest.(check int) "record is headers only" (12 + (24 * 200))
+        (String.length data);
+      let b' = Codec.decode_block data in
+      Alcotest.(check bool) "digest preserved" true
+        (Digest32.equal (Block.digest b) (Block.digest b'));
+      Alcotest.(check (array int)) "declared sizes preserved"
+        (Array.map (fun (t : Transaction.t) -> t.size) b.txns)
+        (Array.map (fun (t : Transaction.t) -> t.size) b'.txns)
+  | l -> Alcotest.failf "expected one durable record, got %d" (List.length l)
 
 (* ------------------------------------------------------------------ *)
 (* Codec: sync messages *)
@@ -385,6 +417,7 @@ let suites =
         Alcotest.test_case "round trip" `Quick test_wal_round_trip;
         Alcotest.test_case "dedup" `Quick test_wal_dedup;
         Alcotest.test_case "crash drops pending" `Quick test_wal_crash_drops_pending;
+        Alcotest.test_case "block record size" `Quick test_wal_block_record_size;
       ] );
     ( "recovery.codec",
       [

@@ -112,6 +112,21 @@ let test_block_wire_size () =
   Alcotest.(check int) "wire" (12 + (3 * 536)) (Block.wire_size b);
   Alcotest.(check int) "txn count" 3 (Block.txn_count b)
 
+(* The census formula counts exactly what the block holds on the heap:
+   payload bytes are modelled, so a 512 B transaction costs five words. *)
+let test_block_live_words () =
+  List.iter
+    (fun count ->
+      let b =
+        Block.make ~proposer:1 ~round:5
+          ~txns:(Array.init count (fun i -> mk_txn ~id:i ()))
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "%d txns" count)
+        (Obj.reachable_words (Obj.repr b))
+        (Block.approx_live_words b))
+    [ 1; 3; 200 ]
+
 (* ------------------------------------------------------------------ *)
 (* Vertices *)
 
@@ -332,8 +347,9 @@ let prop_codec_block_roundtrip =
       in
       let b = Block.make ~proposer ~round:1 ~txns in
       let b' = Codec.decode_block (Codec.encode_block b) in
+      let payload = List.fold_left ( + ) 0 sizes in
       Digest32.equal (Block.digest b) (Block.digest b')
-      && Block.wire_size b = String.length (Codec.encode_block b))
+      && String.length (Codec.encode_block b) = Block.wire_size b - payload)
 
 let suites =
   [
@@ -351,6 +367,7 @@ let suites =
         Alcotest.test_case "txn wire size" `Quick test_txn_wire_size;
         Alcotest.test_case "digest binding" `Quick test_block_digest_binding;
         Alcotest.test_case "block wire size" `Quick test_block_wire_size;
+        Alcotest.test_case "block live words" `Quick test_block_live_words;
       ] );
     ( "types.vertex",
       [
