@@ -84,9 +84,13 @@ grep -q "agree=true" "$smoke_dir/n50" || {
   cat "$smoke_dir/n50"
   exit 1
 }
+# Pinned: the vote plane's bookkeeping may change its cost, never the
+# message flow a realistic quorum sees.
 n50_txns=$(awk '/^committed/ { print $2 }' "$smoke_dir/n50")
-if [ -z "$n50_txns" ] || [ "$n50_txns" -le 0 ]; then
-  echo "n=50 smoke committed no transactions"
+n50_fp=$(awk -F': ' '/^commit fingerprint/ { print $2 }' "$smoke_dir/n50")
+if [ "$n50_txns" != "56800" ] || [ "$n50_fp" != "-2064807531813105959" ]; then
+  echo "n=50 smoke drifted: committed $n50_txns (pinned 56800)," \
+    "fingerprint $n50_fp (pinned -2064807531813105959)"
   cat "$smoke_dir/n50"
   exit 1
 fi

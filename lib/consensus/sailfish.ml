@@ -36,11 +36,14 @@ let default_params =
   }
 
 (* Per-digest vote state within a dissemination slot: equivocating
-   proposers produce several digests, counted separately. *)
+   proposers produce several digests, counted separately. The verified
+   echo shares live only as their signer set and running XOR tag: the
+   certificate needs nothing else, and keeping each share until the round
+   is collected made this state grow as n³ per round. *)
 type votes = {
-  voters : Bitset.t;
+  digest : Digest32.t;
+  acc : Keychain.Acc.t; (* its signer set is the voter set *)
   mutable clan_votes : int;
-  mutable shares : (int * Keychain.signature) list;
   (* Echo signing string for this digest, built and hashed once: every one
      of the ~n echo receipts and the certificate check verify against the
      same string, and both rebuilding and rehashing it per receipt showed
@@ -59,14 +62,14 @@ type slot = {
   mutable cert_sent : bool;
   mutable delivered : bool; (* RBC-delivered: a valid cert seen/formed *)
   mutable agreed : Digest32.t option; (* the certified vertex digest *)
-  echoes : votes Digest32.Tbl.t;
+  mutable votes : votes option; (* the first digest echoed *)
+  mutable rival_votes : votes list; (* further digests: an equivocator *)
   mutable fetching_vertex : bool;
   mutable fetching_block : bool;
-  served : (int, int) Hashtbl.t; (* pull rate limiting, per peer *)
+  (* Pull replies served, per peer: the rate limit. Empty until the first
+     pull, which almost no slot ever sees. *)
+  mutable served : int array;
 }
-
-(* Collection of signature shares for timeout / no-vote certificates. *)
-type share_box = { signers : Bitset.t; mutable shares : (int * Keychain.signature) list }
 
 (* Observability handles, resolved once at construction so the hot paths
    pay an integer add plus (for the trace) one enabled-branch. *)
@@ -91,10 +94,9 @@ type t = {
   make_block : round:int -> Transaction.t array;
   on_commit : leader:Vertex.t -> Vertex.t list -> unit;
   on_block : Block.t -> unit;
-  (* dissemination; keyed by [round * n + source] — echo receipts probe
-     this table ~n³ times per round, and a packed int key avoids the
-     per-probe pair allocation and structural hash of an (int * int) key *)
-  slots : (int, slot) Hashtbl.t;
+  (* dissemination: round -> slot per source, as in [Store]. Echo receipts
+     look a slot up ~n³ times per round; GC drops whole rounds. *)
+  slots : (int, slot option array) Hashtbl.t;
   pending : (int * int, Vertex.t) Hashtbl.t; (* delivered, parents missing *)
   (* Reverse index over [pending]: parent slot -> children buffered on it.
      An insertion wakes exactly the children waiting on that slot instead
@@ -119,8 +121,8 @@ type t = {
   on_deliver : Vertex.t -> unit; (* journal hook, fired before insertion *)
   on_propose : round:int -> unit; (* journal hook, fired before VAL sends *)
   timeout_sent : (int, unit) Hashtbl.t;
-  timeout_shares : (int, share_box) Hashtbl.t;
-  no_vote_shares : (int, share_box) Hashtbl.t; (* only as leader of r+1 *)
+  timeout_shares : (int, Keychain.Acc.t) Hashtbl.t;
+  no_vote_shares : (int, Keychain.Acc.t) Hashtbl.t; (* only as leader of r+1 *)
   tcs : (int, Cert.t) Hashtbl.t;
   nvcs : (int, Cert.t) Hashtbl.t;
   (* commit machinery *)
@@ -181,10 +183,20 @@ let trace_recovery t ~stage ~round =
     Trace.emit tr ~ts:(Engine.now t.engine)
       (Trace.Recovery { node = t.me; stage; round })
 
-let slot_key t ~round ~source = (round * Config.n t.config) + source
+let valid_source t source = source >= 0 && source < Config.n t.config
 
+(* [source] must be a valid party index: callers check peer-supplied
+   sources with [valid_source] first. *)
 let slot_of t ~round ~source =
-  match Hashtbl.find_opt t.slots (slot_key t ~round ~source) with
+  let row =
+    match Hashtbl.find_opt t.slots round with
+    | Some row -> row
+    | None ->
+        let row = Array.make (Config.n t.config) None in
+        Hashtbl.replace t.slots round row;
+        row
+  in
+  match row.(source) with
   | Some s -> s
   | None ->
       let s =
@@ -197,39 +209,65 @@ let slot_of t ~round ~source =
           cert_sent = false;
           delivered = false;
           agreed = None;
-          echoes = Digest32.Tbl.create 2;
+          votes = None;
+          rival_votes = [];
           fetching_vertex = false;
           fetching_block = false;
-          served = Hashtbl.create 4;
+          served = [||];
         }
       in
-      Hashtbl.replace t.slots (slot_key t ~round ~source) s;
+      row.(source) <- Some s;
       s
 
-let votes_of tbl ~round ~source digest n =
-  match Digest32.Tbl.find_opt tbl digest with
-  | Some v -> v
-  | None ->
-      let v =
-        let signing = Msg.echo_signing_string ~round ~source digest in
-        {
-          voters = Bitset.create n;
-          clan_votes = 0;
-          shares = [];
-          signing;
-          signing_h = Keychain.hash_msg signing;
-        }
-      in
-      Digest32.Tbl.replace tbl digest v;
-      v
+let find_votes slot digest =
+  match slot.votes with
+  | Some v when Digest32.equal v.digest digest -> Some v
+  | _ ->
+      List.find_opt (fun v -> Digest32.equal v.digest digest) slot.rival_votes
 
-let box_of tbl round n =
+let votes_of t slot digest =
+  match slot.votes with
+  | Some v when Digest32.equal v.digest digest -> v
+  | _ -> (
+      match find_votes slot digest with
+      | Some v -> v
+      | None ->
+          let signing =
+            Msg.echo_signing_string ~round:slot.s_round ~source:slot.s_source
+              digest
+          in
+          let v =
+            {
+              digest;
+              acc = Keychain.Acc.create t.keychain;
+              clan_votes = 0;
+              signing;
+              signing_h = Keychain.hash_msg signing;
+            }
+          in
+          (match slot.votes with
+          | None -> slot.votes <- Some v
+          | Some _ -> slot.rival_votes <- v :: slot.rival_votes);
+          v)
+
+(* Pull rate limit: may [src] be served this slot once more? *)
+let take_pull t slot src =
+  if Array.length slot.served = 0 then
+    slot.served <- Array.make (Config.n t.config) 0;
+  let served = slot.served.(src) in
+  served < t.params.pull_budget
+  && begin
+       slot.served.(src) <- served + 1;
+       true
+     end
+
+let acc_of t tbl round =
   match Hashtbl.find_opt tbl round with
-  | Some b -> b
+  | Some acc -> acc
   | None ->
-      let b = { signers = Bitset.create n; shares = [] } in
-      Hashtbl.replace tbl round b;
-      b
+      let acc = Keychain.Acc.create t.keychain in
+      Hashtbl.replace tbl round acc;
+      acc
 
 let val_signing_string = Msg.val_signing_string
 
@@ -400,18 +438,24 @@ and handle_live t ~src msg =
   | Msg.Sync_request _ | Msg.Sync_reply _ -> () (* dispatched in [handle] *)
   | Msg.Val { vertex; block; signature } -> on_val t ~src vertex block signature
   | Msg.Echo { round; source; vertex_digest; signer; signature } ->
-      if src = signer then on_echo t ~round ~source ~digest:vertex_digest ~signer ~signature
+      if src = signer && valid_source t source then
+        on_echo t ~round ~source ~digest:vertex_digest ~signer ~signature
   | Msg.Echo_cert { round; source; vertex_digest; agg; clan_echoes = _ } ->
-      on_echo_cert t ~round ~source ~digest:vertex_digest ~agg
+      if valid_source t source then
+        on_echo_cert t ~round ~source ~digest:vertex_digest ~agg
   | Msg.Timeout_share { round; signer; signature } ->
       if src = signer then on_timeout_share t ~round ~signer ~signature
   | Msg.No_vote_share { round; signer; signature } ->
       if src = signer then on_no_vote_share t ~round ~signer ~signature
   | Msg.Timeout_cert c -> on_timeout_cert t c
-  | Msg.Block_request { round; source } -> on_block_request t ~src ~round ~source
-  | Msg.Block_reply { block } -> on_block_reply t block
-  | Msg.Vertex_request { round; source } -> on_vertex_request t ~src ~round ~source
-  | Msg.Vertex_reply { vertex; block } -> on_vertex_reply t vertex block
+  | Msg.Block_request { round; source } ->
+      if valid_source t source then on_block_request t ~src ~round ~source
+  | Msg.Block_reply { block } ->
+      if valid_source t block.proposer then on_block_reply t block
+  | Msg.Vertex_request { round; source } ->
+      if valid_source t source then on_vertex_request t ~src ~round ~source
+  | Msg.Vertex_reply { vertex; block } ->
+      if valid_source t vertex.source then on_vertex_reply t vertex block
 
 (* --- VAL ----------------------------------------------------------- *)
 
@@ -495,17 +539,16 @@ and on_echo t ~round ~source ~digest ~signer ~signature =
      certification time. Skipping the ~n - 2f-1 post-certificate echoes
      (verify included) changes no message and no observable state. *)
   if not slot.cert_sent then begin
-    let v = votes_of slot.echoes ~round ~source digest (Config.n t.config) in
+    let v = votes_of t slot digest in
     if Keychain.verify_hashed t.keychain ~signer v.signing_h signature then begin
-      if Bitset.add v.voters signer then begin
+      if Keychain.Acc.add v.acc ~signer signature then begin
         if Config.in_payload_clan t.config ~proposer:source signer then
           v.clan_votes <- v.clan_votes + 1;
-        v.shares <- (signer, signature) :: v.shares;
         let clan_needed =
           Config.clan_echo_threshold t.config ~proposer:source
         in
         if
-          Bitset.cardinal v.voters >= quorum t
+          Bitset.cardinal (Keychain.Acc.signers v.acc) >= quorum t
           && v.clan_votes >= clan_needed
         then begin
           slot.cert_sent <- true;
@@ -517,19 +560,15 @@ and on_echo t ~round ~source ~digest ~signer ~signature =
              second n³ term in per-round message volume — disappear.
              Dense mode keeps the broadcast-by-everyone rule. *)
           if cert_relayer t ~source then
-            match Keychain.aggregate t.keychain ~msg:v.signing v.shares with
-            | None -> ()
-            | Some agg ->
-                Net.broadcast t.net ~src:t.me
-                  (Msg.Echo_cert
-                     {
-                       round;
-                       source;
-                       vertex_digest = digest;
-                       agg;
-                       clan_echoes = v.clan_votes;
-                     })
-          else ();
+            Net.broadcast t.net ~src:t.me
+              (Msg.Echo_cert
+                 {
+                   round;
+                   source;
+                   vertex_digest = digest;
+                   agg = Keychain.Acc.to_aggregate v.acc;
+                   clan_echoes = v.clan_votes;
+                 });
           certified t slot digest
         end
       end
@@ -550,7 +589,7 @@ and on_echo_cert t ~round ~source ~digest ~agg =
             (fun acc m -> if Bitset.mem signers m then acc + 1 else acc)
             0 members
     in
-    let v = votes_of slot.echoes ~round ~source digest (Config.n t.config) in
+    let v = votes_of t slot digest in
     if
       total >= quorum t
       && clan_count >= Config.clan_echo_threshold t.config ~proposer:source
@@ -656,7 +695,7 @@ and request_parents t (child : Vertex.t) missing =
          that lost every echo for it (e.g. behind a partition) can still
          deliver via fetch and walk the chain back to its frontier. *)
       certified t slot r.digest)
-    missing
+    (List.filter (fun (r : Vertex.vref) -> valid_source t r.source) missing)
 
 and fetch_vertex ?(cycles = 0) ?(last = 0) t slot =
   if not slot.fetching_vertex then begin
@@ -665,8 +704,10 @@ and fetch_vertex ?(cycles = 0) ?(last = 0) t slot =
     let candidates =
       match slot.agreed with
       | Some d -> (
-          match Digest32.Tbl.find_opt slot.echoes d with
-          | Some v -> List.filter (fun i -> i <> t.me) (Bitset.to_list v.voters)
+          match find_votes slot d with
+          | Some v ->
+              List.filter (fun i -> i <> t.me)
+                (Bitset.to_list (Keychain.Acc.signers v.acc))
           | None -> [])
       | None -> []
     in
@@ -743,11 +784,8 @@ and on_block_request t ~src ~round ~source =
   let slot = slot_of t ~round ~source in
   match slot.block with
   | Some block ->
-      let served = Option.value ~default:0 (Hashtbl.find_opt slot.served src) in
-      if served < t.params.pull_budget then begin
-        Hashtbl.replace slot.served src (served + 1);
+      if take_pull t slot src then
         Net.send t.net ~src:t.me ~dst:src (Msg.Block_reply { block })
-      end
   | None -> ()
 
 and on_block_reply t (b : Block.t) =
@@ -771,9 +809,7 @@ and on_vertex_request t ~src ~round ~source =
   let slot = slot_of t ~round ~source in
   match slot.vertex with
   | Some vertex when slot.delivered ->
-      let served = Option.value ~default:0 (Hashtbl.find_opt slot.served src) in
-      if served < t.params.pull_budget then begin
-        Hashtbl.replace slot.served src (served + 1);
+      if take_pull t slot src then begin
         let block =
           if Config.in_payload_clan t.config ~proposer:source src then slot.block
           else None
@@ -1031,18 +1067,13 @@ and garbage_collect t =
     drop_below t.blocks;
     drop_below t.pending;
     drop_below t.waiters;
-    let drop_slots =
-      Hashtbl.fold
-        (fun k s acc -> if s.s_round < horizon then k :: acc else acc)
-        t.slots []
-    in
-    List.iter (Hashtbl.remove t.slots) drop_slots;
     let drop_rounds tbl =
       let doomed =
         Hashtbl.fold (fun r _ acc -> if r < horizon then r :: acc else acc) tbl []
       in
       List.iter (Hashtbl.remove tbl) doomed
     in
+    drop_rounds t.slots;
     drop_rounds t.leader_votes;
     drop_rounds t.commit_ready;
     drop_rounds t.timeout_shares;
@@ -1266,17 +1297,17 @@ and on_round_timeout t r =
 and on_timeout_share t ~round ~signer ~signature =
   if Keychain.verify t.keychain ~signer (Cert.signing_string Cert.Timeout round) signature
   then begin
-    let box = box_of t.timeout_shares round (Config.n t.config) in
-    if Bitset.add box.signers signer then begin
-      box.shares <- (signer, signature) :: box.shares;
-      if Bitset.cardinal box.signers = quorum t && not (Hashtbl.mem t.tcs round)
-      then
-        match Cert.make t.keychain Cert.Timeout ~round box.shares with
-        | Some c ->
-            Hashtbl.replace t.tcs round c;
-            Net.broadcast t.net ~src:t.me (Msg.Timeout_cert c);
-            maybe_advance t
-        | None -> ()
+    let acc = acc_of t t.timeout_shares round in
+    if
+      Keychain.Acc.add acc ~signer signature
+      && Bitset.cardinal (Keychain.Acc.signers acc) = quorum t
+      && not (Hashtbl.mem t.tcs round)
+    then begin
+      let agg = Keychain.Acc.to_aggregate acc in
+      let c = Cert.of_wire Cert.Timeout ~round ~agg in
+      Hashtbl.replace t.tcs round c;
+      Net.broadcast t.net ~src:t.me (Msg.Timeout_cert c);
+      maybe_advance t
     end
   end
 
@@ -1297,18 +1328,15 @@ and on_no_vote_share t ~round ~signer ~signature =
          (Cert.signing_string Cert.No_vote round)
          signature
   then begin
-    let box = box_of t.no_vote_shares round (Config.n t.config) in
-    if Bitset.add box.signers signer then begin
-      box.shares <- (signer, signature) :: box.shares;
-      if
-        Bitset.cardinal box.signers = quorum t
-        && not (Hashtbl.mem t.nvcs round)
-      then
-        match Cert.make t.keychain Cert.No_vote ~round box.shares with
-        | Some c ->
-            Hashtbl.replace t.nvcs round c;
-            maybe_propose t
-        | None -> ()
+    let acc = acc_of t t.no_vote_shares round in
+    if
+      Keychain.Acc.add acc ~signer signature
+      && Bitset.cardinal (Keychain.Acc.signers acc) = quorum t
+      && not (Hashtbl.mem t.nvcs round)
+    then begin
+      Hashtbl.replace t.nvcs round
+        (Cert.of_wire Cert.No_vote ~round ~agg:(Keychain.Acc.to_aggregate acc));
+      maybe_propose t
     end
   end
 
@@ -1368,35 +1396,102 @@ let start_recovery t =
 let block_of t ~round ~source = Hashtbl.find_opt t.blocks (round, source)
 let vertex_of t ~round ~source = Store.find t.store ~round ~source
 
-(* Heap census: this layer's retained state, split by subsystem. Slot
-   bookkeeping is estimated flat (vote bitsets + share lists scale with n);
-   stored blocks are charged the words they occupy, payloads excluded. See
-   docs/PROFILING.md. *)
+(* Heap census: this layer's retained state, split by subsystem.
+   [consensus.state] is derived from the layout below, headers included,
+   and checked against [Obj.reachable_words] in the consensus tests.
+   Vertices and blocks are not part of it: the DAG store and the block
+   table ([consensus.blocks]) own them, and digests are charged to the
+   vertices that carry them. See docs/PROFILING.md. *)
+let string_words s = (String.length s / 8) + 2
+let pair_words = 3
+
+(* A table's record and bucket array. [Hashtbl.stats] would walk every
+   bucket twice to report the array's length, and the census runs at the
+   end of every simulation, so the length is read off the record's second
+   field instead; the census test catches a layout change. *)
+let table_base tbl = 5 + Obj.size (Obj.field (Obj.repr tbl) 1) + 1
+
+(* Tables whose entries all cost the same: a bucket cell plus [entry]. *)
+let flat_table_words tbl ~entry =
+  table_base tbl + ((4 + entry) * Hashtbl.length tbl)
+
+let table_words tbl entry =
+  table_base tbl + Hashtbl.fold (fun k v acc -> acc + 4 + entry k v) tbl 0
+
+let opt_words = function None -> 0 | Some _ -> 2
+
+(* record + accumulator + signing string + message hash *)
+let votes_words v =
+  6 + Keychain.Acc.approx_live_words v.acc + string_words v.signing + 3
+
+let slot_words s =
+  14 + opt_words s.vertex + opt_words s.block + opt_words s.agreed
+  + (match s.votes with None -> 0 | Some v -> 2 + votes_words v)
+  + List.fold_left (fun acc v -> acc + 3 + votes_words v) 0 s.rival_votes
+  + if Array.length s.served = 0 then 0 else Array.length s.served + 1
+
+let state_words t =
+  let row_words _ row =
+    Array.fold_left
+      (fun acc -> function None -> acc | Some s -> acc + 2 + slot_words s)
+      (Array.length row + 1) row
+  in
+  (* a waiter list's keys are the tuples [pending] is keyed by *)
+  let waiter_words _ l = pair_words + 2 + (3 * List.length !l) in
+  let acc_words _ acc = Keychain.Acc.approx_live_words acc in
+  let cert_words _ (c : Cert.t) = 4 + Keychain.aggregate_live_words c.agg in
+  table_words t.slots row_words
+  + flat_table_words t.pending ~entry:pair_words
+  + table_words t.waiters waiter_words
+  + flat_table_words t.ordered ~entry:pair_words
+  + flat_table_words t.covered ~entry:pair_words
+  + flat_table_words t.uncovered ~entry:pair_words
+  + table_words t.leader_votes (fun _ b -> Bitset.approx_live_words b)
+  + flat_table_words t.commit_ready ~entry:0
+  + flat_table_words t.timeout_sent ~entry:0
+  + flat_table_words t.sync_seen_rounds ~entry:0
+  + table_words t.timeout_shares acc_words
+  + table_words t.no_vote_shares acc_words
+  + table_words t.tcs cert_words
+  + table_words t.nvcs cert_words
+
 let census t =
-  let n = Config.n t.config in
-  let slot_words = Hashtbl.length t.slots * (24 + n) in
-  let pending_words =
-    Hashtbl.fold
-      (fun _ (v : Vertex.t) acc ->
-        acc + 22 + (9 * (Array.length v.strong_edges + Array.length v.weak_edges)))
-      t.pending 0
-  in
-  let aux_words =
-    6
-    * (Hashtbl.length t.waiters + Hashtbl.length t.ordered
-      + Hashtbl.length t.covered + Hashtbl.length t.uncovered
-      + Hashtbl.length t.leader_votes + Hashtbl.length t.timeout_shares
-      + Hashtbl.length t.no_vote_shares)
-  in
   let block_words =
     Hashtbl.fold (fun _ b acc -> acc + Block.approx_live_words b) t.blocks 0
   in
   [
     ("consensus.blocks", block_words);
-    ("consensus.state", slot_words + pending_words + aux_words);
+    ("consensus.state", state_words t);
     ("dag.store", Store.approx_live_words t.store);
     ("keychain", Keychain.approx_live_words t.keychain);
   ]
+
+let census_parts t =
+  let state =
+    [
+      Obj.repr t.slots; Obj.repr t.pending; Obj.repr t.waiters;
+      Obj.repr t.ordered; Obj.repr t.covered; Obj.repr t.uncovered;
+      Obj.repr t.leader_votes; Obj.repr t.commit_ready;
+      Obj.repr t.timeout_sent; Obj.repr t.sync_seen_rounds;
+      Obj.repr t.timeout_shares; Obj.repr t.no_vote_shares;
+      Obj.repr t.tcs; Obj.repr t.nvcs;
+    ]
+  in
+  let shared = ref [] in
+  let keep x = shared := Obj.repr x :: !shared in
+  Hashtbl.iter
+    (fun _ row ->
+      Array.iter
+        (function
+          | None -> ()
+          | Some s ->
+              Option.iter keep s.vertex;
+              Option.iter keep s.block)
+        row)
+    t.slots;
+  Hashtbl.iter (fun _ v -> keep v) t.pending;
+  Hashtbl.iter (fun _ v -> keep v) t.uncovered;
+  (state, !shared)
 
 let create ~me ~config ~keychain ~engine ~net ?(params = default_params)
     ?(obs = Obs.disabled) ~make_block ~on_commit ?(on_block = fun _ -> ())

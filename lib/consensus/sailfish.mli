@@ -164,6 +164,12 @@ val census : t -> (string * int) list
     [consensus.blocks], [consensus.state], [dag.store] and [keychain]
     approximate live words. See docs/PROFILING.md. *)
 
+val census_parts : t -> Obj.t list * Obj.t list
+(** The heap values [consensus.state] charges — this node's slot, vote,
+    pending, ordering and certificate tables — and the vertices and blocks
+    they reference, which the DAG store and block table own. For checking
+    the census against [Obj.reachable_words]. *)
+
 (** Low-level hooks for fault-injection tests: a Byzantine "node" is built
     by driving the network directly, but tests also need to peek at honest
     state. *)

@@ -143,28 +143,52 @@ let verify t ~signer msg signature =
 
 let forge = String.make 32 '\xff'
 
+(* A running aggregate: the signer set plus the XOR of the shares folded so
+   far. The XOR runs over the tag's four 64-bit lanes in place, so folding
+   a share allocates nothing; XOR is commutative, so the tag and signer set
+   do not depend on the order shares arrive in. *)
+module Acc = struct
+  type t = { who : Bitset.t; tag : Bytes.t }
+
+  let create keychain =
+    { who = Bitset.create (n keychain); tag = Bytes.make 32 '\x00' }
+
+  let xor_lane tag s off =
+    Bytes.set_int64_ne tag off
+      (Int64.logxor (Bytes.get_int64_ne tag off) (String.get_int64_ne s off))
+
+  let add acc ~signer s =
+    signer >= 0
+    && signer < Bitset.capacity acc.who
+    && Bitset.add acc.who signer
+    && begin
+         xor_lane acc.tag s 0;
+         xor_lane acc.tag s 8;
+         xor_lane acc.tag s 16;
+         xor_lane acc.tag s 24;
+         true
+       end
+
+  let signers acc = acc.who
+
+  let to_aggregate acc =
+    {
+      tag = Bytes.to_string acc.tag;
+      who = Bitset.copy acc.who;
+      parts = [];
+      expected = None;
+    }
+
+  (* record + signer set + 32-byte tag (5 words and a header) *)
+  let approx_live_words acc = 3 + Bitset.approx_live_words acc.who + 6
+end
+
 let aggregate t ~msg parts =
   ignore msg;
-  let total = n t in
-  let who = Bitset.create total in
-  let ok =
-    List.for_all
-      (fun (signer, _) -> signer >= 0 && signer < total && Bitset.add who signer)
-      parts
-  in
-  if not ok then None
-  else begin
-    let out = Bytes.make 32 '\x00' in
-    List.iter
-      (fun (_, s) ->
-        for i = 0 to min (Bytes.length out) (String.length s) - 1 do
-          Bytes.unsafe_set out i
-            (Char.unsafe_chr
-               (Char.code (Bytes.unsafe_get out i) lxor Char.code s.[i]))
-        done)
-      parts;
-    Some { tag = Bytes.unsafe_to_string out; who; parts; expected = None }
-  end
+  let acc = Acc.create t in
+  if List.for_all (fun (signer, s) -> Acc.add acc ~signer s) parts then
+    Some { (Acc.to_aggregate acc) with parts }
+  else None
 
 (* XOR of honest signatures = per-lane XOR of their lane words, so the
    expected tag folds in native-int lanes: one message hash plus four mixed
@@ -215,6 +239,13 @@ let aggregate_size t = signature_size + ((n t + 7) / 8)
 let aggregate_tag agg = agg.tag
 let aggregate_of_wire ~tag ~signers =
   { tag; who = signers; parts = []; expected = None }
+
+(* record + 32-byte tag + signer set, plus the memo's option box and
+   string once verified *)
+let aggregate_live_words agg =
+  5 + 6 + Bitset.approx_live_words agg.who
+  + match agg.expected with None -> 0 | Some _ -> 2 + 6
+
 let signature_to_raw s = s
 let approx_live_words t = (2 * (Array.length t.k0 + 1)) + 3
 

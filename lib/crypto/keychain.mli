@@ -55,11 +55,44 @@ val signature_size : int
 (** Wire bytes of one signature (κ = 64, covering hash- and signature-size
     as the paper does). *)
 
+(** A running aggregate: the signer set plus the XOR of every share folded
+    in so far, without keeping the shares. A quorum collector holds one per
+    signing string and folds each share as it arrives.
+
+    Contract: the accumulator checks signer indices only, never signatures,
+    so callers fold a share only after verifying it (e.g. with
+    {!verify_hashed}); an aggregate built from verified shares verifies.
+    XOR is commutative, so the tag and signer set do not depend on the
+    order shares are folded in. *)
+module Acc : sig
+  type keychain := t
+  type t
+
+  val create : keychain -> t
+  (** An empty accumulator over the keychain's [n] parties. *)
+
+  val add : t -> signer:int -> signature -> bool
+  (** Fold in one share. Returns [false], changing nothing, when [signer]
+      is out of range or already folded in. Allocates nothing. *)
+
+  val signers : t -> Clanbft_util.Bitset.t
+  (** The live signer set. Callers must not mutate it. *)
+
+  val to_aggregate : t -> aggregate
+  (** The aggregate of the shares folded so far. It owns copies of the tag
+      and signer set, so later {!add}s leave it unchanged. It keeps no
+      constituents, so {!find_faulty_signers} reports none for it. *)
+
+  val approx_live_words : t -> int
+  (** Heap words of the accumulator, headers included. *)
+end
+
 val aggregate : t -> msg:string -> (int * signature) list -> aggregate option
-(** Combine signatures on [msg]. Mirrors the paper's flow: aggregation never
-    fails (no upfront verification) — this function returns [None] only if a
-    signer index is out of range. The aggregate may later fail
-    verification if a constituent was forged. *)
+(** Combine signatures on [msg] by folding them into an {!Acc.t}. Mirrors
+    the paper's flow: aggregation never fails (no upfront verification) —
+    this function returns [None] only if a signer index is out of range or
+    repeated. The aggregate may later fail verification if a constituent
+    was forged; it keeps the constituents for {!find_faulty_signers}. *)
 
 val verify_aggregate : t -> msg:string -> aggregate -> bool
 
@@ -89,6 +122,10 @@ val signature_to_raw : signature -> string
 
 val signature_of_raw : string -> signature
 (** Raises [Invalid_argument] unless given 32 bytes. *)
+
+val aggregate_live_words : aggregate -> int
+(** Heap words of an aggregate without constituents (a decoded or
+    accumulated one), its expected-tag memo included once computed. *)
 
 val approx_live_words : t -> int
 (** Heap-census hook: word estimate of the per-party key arrays. Expected-tag

@@ -22,12 +22,14 @@ val signing_string : kind -> int -> string
 
 val make :
   Keychain.t -> kind -> round:int -> (int * Keychain.signature) list -> t option
-(** Aggregate the shares; [None] if a signer id is invalid. No upfront
-    verification (the paper's aggregation strategy): a forged share makes
-    {!verify} fail later. *)
+(** Aggregate the shares; [None] if a signer id is invalid or repeated. No
+    upfront verification (the paper's aggregation strategy): a forged share
+    makes {!verify} fail later. *)
 
 val of_wire : kind -> round:int -> agg:Keychain.aggregate -> t
-(** Reassemble a decoded certificate; {!verify} still applies. *)
+(** Wrap an aggregate built elsewhere: a decoded one, or one taken from a
+    {!Keychain.Acc.t} that collected verified shares. {!verify} still
+    applies. *)
 
 val verify : Keychain.t -> quorum:int -> t -> bool
 (** Valid iff the aggregate checks out and carries at least [quorum]

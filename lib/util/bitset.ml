@@ -104,6 +104,8 @@ let inter_cardinal a b =
   done;
   !count
 
+let approx_live_words t = 4 + Array.length t.words + 1
+
 let equal a b = a.capacity = b.capacity && a.words = b.words
 
 let pp ppf t =

@@ -35,3 +35,7 @@ val union_into : dst:t -> t -> unit
 val inter_cardinal : t -> t -> int
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
+
+val approx_live_words : t -> int
+(** Heap words of the set, headers included: the record and its word
+    array. *)

@@ -315,6 +315,35 @@ let test_gc_bounds_memory () =
   Alcotest.(check bool) "but many rounds ran" true
     (Sailfish.current_round (node w 0) > 100)
 
+(* The census derives [consensus.state] from the slot, vote and table
+   layout; the runtime has the final word. Vertices and blocks are owned by
+   the DAG store and block table, so both sides exclude them: the words
+   reachable from them are subtracted, as are the cons cells of the two
+   lists that carry the values (3 words each). Tolerance: 2% of the
+   runtime figure. The benign run matches to a word; with two crashed
+   nodes, timeout certificates shared with the vertices that carry them are
+   charged by the census only (about 0.3% here). *)
+let test_census_matches_heap () =
+  List.iter
+    (fun (label, byzantine) ->
+      let params = { Sailfish.default_params with round_timeout = Time.ms 300. } in
+      let w = make_world ~n:16 ~load:20 ~byzantine ~params Config.Full in
+      start w;
+      Engine.run ~until:(Time.s 2.) w.engine;
+      let node0 = node w 0 in
+      Alcotest.(check bool) (label ^ ": rounds ran") true
+        (Sailfish.current_round node0 > 10);
+      let reachable l = Obj.reachable_words (Obj.repr l) - (3 * List.length l) in
+      let state, shared = Sailfish.census_parts node0 in
+      let measured = reachable state - reachable shared in
+      let estimated = List.assoc "consensus.state" (Sailfish.census node0) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: census %d vs runtime %d words" label estimated
+           measured)
+        true
+        (abs (estimated - measured) * 50 <= measured))
+    [ ("benign", []); ("two crashed", [ 1; 2 ]) ]
+
 let test_single_clan_traffic_asymmetry () =
   (* Outsiders receive vertices but never payloads: their ingress must be
      well below a clan member's. *)
@@ -424,6 +453,7 @@ let suites =
     ( "consensus.resources",
       [
         Alcotest.test_case "GC bounds memory" `Slow test_gc_bounds_memory;
+        Alcotest.test_case "census matches heap" `Slow test_census_matches_heap;
         Alcotest.test_case "single-clan traffic asymmetry" `Slow
           test_single_clan_traffic_asymmetry;
       ] );

@@ -152,6 +152,83 @@ let test_aggregate_wire_roundtrip () =
   Alcotest.(check bool) "decoded aggregate verifies" true
     (Keychain.verify_aggregate kc ~msg rebuilt)
 
+(* Reference for the aggregate tag: byte-wise XOR of the shares. *)
+let xor_reference shares =
+  List.fold_left
+    (fun acc (_, s) ->
+      let s = Keychain.signature_to_raw s in
+      String.init 32 (fun i -> Char.chr (Char.code acc.[i] lxor Char.code s.[i])))
+    (String.make 32 '\x00') shares
+
+let prop_acc_matches_aggregate =
+  QCheck.Test.make ~name:"accumulator = aggregate, any order" ~count:200
+    QCheck.(pair (list_of_size Gen.(0 -- 20) (int_bound 9)) small_string)
+    (fun (order, msg) ->
+      (* distinct signers, in the generated (random) order *)
+      let order =
+        List.fold_left
+          (fun acc i -> if List.mem i acc then acc else acc @ [ i ])
+          [] order
+      in
+      let share i = (i, Keychain.sign kc ~signer:i msg) in
+      let acc = Keychain.Acc.create kc in
+      List.iter
+        (fun i ->
+          let _, s = share i in
+          assert (Keychain.Acc.add acc ~signer:i s))
+        order;
+      let from_acc = Keychain.Acc.to_aggregate acc in
+      let sorted = List.map share (List.sort compare order) in
+      let from_list = Option.get (Keychain.aggregate kc ~msg sorted) in
+      String.equal (Keychain.aggregate_tag from_acc) (Keychain.aggregate_tag from_list)
+      && String.equal (Keychain.aggregate_tag from_acc) (xor_reference sorted)
+      && Bitset.equal (Keychain.signers from_acc) (Keychain.signers from_list)
+      && Bitset.to_list (Keychain.signers from_acc) = List.sort compare order
+      && Keychain.verify_aggregate kc ~msg from_acc)
+
+let test_acc_refuses () =
+  let acc = Keychain.Acc.create kc in
+  let s = Keychain.sign kc ~signer:1 "m" in
+  Alcotest.(check bool) "first share" true (Keychain.Acc.add acc ~signer:1 s);
+  let tag = Keychain.aggregate_tag (Keychain.Acc.to_aggregate acc) in
+  Alcotest.(check bool) "duplicate" false (Keychain.Acc.add acc ~signer:1 s);
+  Alcotest.(check bool) "negative" false (Keychain.Acc.add acc ~signer:(-1) s);
+  Alcotest.(check bool) "past n" false (Keychain.Acc.add acc ~signer:10 s);
+  let agg = Keychain.Acc.to_aggregate acc in
+  Alcotest.(check string) "refusals leave the tag" tag (Keychain.aggregate_tag agg);
+  Alcotest.(check (list int)) "refusals leave the signers" [ 1 ]
+    (Bitset.to_list (Keychain.signers agg))
+
+let test_acc_snapshot () =
+  let msg = "snapshot" in
+  let acc = Keychain.Acc.create kc in
+  List.iter
+    (fun i -> ignore (Keychain.Acc.add acc ~signer:i (Keychain.sign kc ~signer:i msg)))
+    [ 0; 1; 2 ];
+  let agg = Keychain.Acc.to_aggregate acc in
+  let tag = Keychain.aggregate_tag agg in
+  ignore (Keychain.Acc.add acc ~signer:3 (Keychain.sign kc ~signer:3 msg));
+  Alcotest.(check string) "tag unchanged" tag (Keychain.aggregate_tag agg);
+  Alcotest.(check (list int)) "signers unchanged" [ 0; 1; 2 ]
+    (Bitset.to_list (Keychain.signers agg));
+  Alcotest.(check bool) "still verifies" true (Keychain.verify_aggregate kc ~msg agg);
+  Alcotest.(check int) "accumulator moved on" 4
+    (Bitset.cardinal (Keychain.Acc.signers acc))
+
+let test_acc_add_allocates_nothing () =
+  let n = 1000 in
+  let big = Keychain.create ~seed:3L ~n in
+  let shares = Array.init n (fun i -> Keychain.sign big ~signer:i "m") in
+  let acc = Keychain.Acc.create big in
+  let before = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    ignore (Keychain.Acc.add acc ~signer:i shares.(i))
+  done;
+  let words = Gc.minor_words () -. before in
+  (* the float [Gc.minor_words] returns is the only allocation *)
+  Alcotest.(check bool) (Printf.sprintf "%.0f words for %d adds" words n) true
+    (words < 10.)
+
 let test_sizes () =
   Alcotest.(check int) "signature" 64 Keychain.signature_size;
   Alcotest.(check int) "aggregate" (64 + 2) (Keychain.aggregate_size kc)
@@ -230,6 +307,11 @@ let suites =
         Alcotest.test_case "aggregate bad signer" `Quick test_aggregate_rejects_bad_signer;
         Alcotest.test_case "aggregate duplicates" `Quick test_aggregate_rejects_duplicates;
         Alcotest.test_case "aggregate wire roundtrip" `Quick test_aggregate_wire_roundtrip;
+        qtest prop_acc_matches_aggregate;
+        Alcotest.test_case "accumulator refusals" `Quick test_acc_refuses;
+        Alcotest.test_case "accumulator snapshot" `Quick test_acc_snapshot;
+        Alcotest.test_case "accumulator add allocates nothing" `Quick
+          test_acc_add_allocates_nothing;
         Alcotest.test_case "wire sizes" `Quick test_sizes;
         Alcotest.test_case "sign tags distinct" `Slow test_sign_tags_distinct;
         qtest prop_sign_cache_coherent;
