@@ -1238,20 +1238,6 @@ let perf_micro () =
     ("net_send_ops_per_s", send_ops);
   ]
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let json_float f =
   if Float.is_nan f || Float.is_integer f && Float.abs f < 1e15 then
     (* NaN is not JSON; latencies can be nan when nothing committed. *)
@@ -1362,7 +1348,7 @@ let perf () =
         in
         Printf.sprintf
           "    \"%s\": {\"e2e\": %s, \"segments\": {%s}, \"stalls\": %d}"
-          (json_escape sc.ps_name)
+          (Util.Json.escape sc.ps_name)
           (dist_json rep.Analyze.e2e)
           (String.concat ", " segs)
           (List.length rep.Analyze.stalls))
@@ -1380,9 +1366,9 @@ let perf () =
       Buffer.add_string b
         (String.concat ", "
            [
-             Printf.sprintf "\"name\": \"%s\"" (json_escape sc.ps_name);
+             Printf.sprintf "\"name\": \"%s\"" (Util.Json.escape sc.ps_name);
              Printf.sprintf "\"protocol\": \"%s\""
-               (json_escape (Runner.protocol_label sc.ps_spec.Runner.protocol));
+               (Util.Json.escape (Runner.protocol_label sc.ps_spec.Runner.protocol));
              Printf.sprintf "\"n\": %d" sc.ps_spec.Runner.n;
              Printf.sprintf "\"load\": %d" sc.ps_spec.Runner.txns_per_proposal;
              Printf.sprintf "\"sim_duration_s\": %s"
@@ -1428,20 +1414,20 @@ let perf () =
               Printf.sprintf
                 "        \"%s\": {\"calls\": %d, \"self_minor_words\": %d, \
                  \"self_major_words\": %d, \"self_ns\": %d, \"incl_ns\": %d}"
-                (json_escape r.Prof.name) r.Prof.calls r.Prof.self_minor_words
+                (Util.Json.escape r.Prof.name) r.Prof.calls r.Prof.self_minor_words
                 r.Prof.self_major_words r.Prof.self_ns r.Prof.incl_ns)
             pf.pf_rows
         in
         let census =
           List.map
             (fun (name, words) ->
-              Printf.sprintf "        \"%s\": %d" (json_escape name) words)
+              Printf.sprintf "        \"%s\": %d" (Util.Json.escape name) words)
             pf.pf_census
         in
         let top =
           List.map
             (fun (r : Prof.row) ->
-              Printf.sprintf "\"%s\"" (json_escape r.Prof.name))
+              Printf.sprintf "\"%s\"" (Util.Json.escape r.Prof.name))
             (top_by_self 3 pf.pf_rows)
         in
         Printf.sprintf
@@ -1449,7 +1435,7 @@ let perf () =
            \"wall_ns\": %.0f,\n      \"top_by_self_ns\": [%s],\n      \
            \"sections\": {\n%s\n      },\n      \"census\": {\n%s\n      \
            }\n    }"
-          (json_escape pf.pf_name) pf.pf_fingerprint (pf.pf_wall_s *. 1e9)
+          (Util.Json.escape pf.pf_name) pf.pf_fingerprint (pf.pf_wall_s *. 1e9)
           (String.concat ", " top)
           (String.concat ",\n" rows)
           (String.concat ",\n" census))
@@ -1483,8 +1469,8 @@ let perf () =
       Buffer.add_string b
         (String.concat ", "
            ([
-              Printf.sprintf "\"attack\": \"%s\"" (json_escape c.ac_attack);
-              Printf.sprintf "\"protocol\": \"%s\"" (json_escape c.ac_protocol);
+              Printf.sprintf "\"attack\": \"%s\"" (Util.Json.escape c.ac_attack);
+              Printf.sprintf "\"protocol\": \"%s\"" (Util.Json.escape c.ac_protocol);
               Printf.sprintf "\"throughput_ktps\": %s"
                 (json_float r.Runner.throughput_ktps);
               Printf.sprintf "\"p50_ms\": %s" (json_float r.Runner.latency_p50_ms);

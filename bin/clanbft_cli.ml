@@ -1,9 +1,10 @@
 (* clanbft command-line interface.
 
      clanbft sim        — run a simulated experiment and print metrics
+                          ([--profile]: under the self-profiler, docs/PROFILING.md)
      clanbft sweep      — run a load sweep across worker domains
-     clanbft profile    — run a scenario under the self-profiler (docs/PROFILING.md)
      clanbft analyze    — analyze a recorded JSONL trace (docs/ANALYSIS.md)
+     clanbft check      — explore message schedules of small configs (docs/CHECKING.md)
      clanbft clan-size  — exact committee sizing (Fig. 1 / §6.2 machinery)
      clanbft rbc        — broadcast one value through a chosen RBC variant
      clanbft latency    — architectural latency bounds (§1 / §8)          *)
@@ -101,14 +102,13 @@ let adversaries_flag =
             Stdlib.exit 2)
     $ advs)
 
-let sim_cmd =
-  let run n protocol nc q sparse_k load size duration warmup seed uniform
-      crashed fault_plan restarts adversaries persist trace trace_chrome
-      metrics_out verbose =
-    if verbose then begin
-      Logs.set_reporter (Logs_fmt.reporter ());
-      Logs.set_level (Some Logs.Debug)
-    end;
+(* One scenario for every simulated run mode: the deployment, workload
+   shape, seed and Byzantine/fault/restart load that [sim] and [sweep]
+   both accept, resolved into one [Runner.spec]. The per-proposal load is
+   left to the subcommand. *)
+let scenario =
+  let make n protocol nc q sparse_k size duration warmup seed uniform crashed
+      fault_plan restarts adversaries persist =
     let protocol =
       match protocol with
       | `Full -> Runner.Full
@@ -136,25 +136,80 @@ let sim_cmd =
           Stdlib.exit 2
         end)
       adversaries;
+    {
+      Runner.default_spec with
+      n;
+      protocol;
+      txn_size = size;
+      duration = Time.s duration;
+      warmup = Time.s warmup;
+      seed = Int64.of_int seed;
+      topology = (match uniform with Some ms -> `Uniform ms | None -> `Gcp);
+      crashed;
+      fault_plan;
+      restarts;
+      adversaries;
+      persist;
+    }
+  in
+  let n = Arg.(value & opt int 16 & info [ "n" ] ~doc:"Tribe size.") in
+  let protocol =
+    Arg.(value & opt protocol_conv `Single
+         & info [ "p"; "protocol" ] ~doc:"full | single-clan | multi-clan | sparse.")
+  in
+  let nc =
+    Arg.(value & opt (some int) None
+         & info [ "clan-size" ] ~doc:"Clan size (single-clan); default: exact minimum at 1e-6.")
+  in
+  let q = Arg.(value & opt int 2 & info [ "clans" ] ~doc:"Clan count (multi-clan).") in
+  let sparse_k =
+    Arg.(value & opt int 3
+         & info [ "sparse-k" ]
+             ~doc:"Sampled strong parents per vertex (sparse protocol).")
+  in
+  let size = Arg.(value & opt int 512 & info [ "txn-size" ] ~doc:"Transaction bytes.") in
+  let duration = Arg.(value & opt float 10.0 & info [ "duration" ] ~doc:"Simulated seconds.") in
+  let warmup = Arg.(value & opt float 3.0 & info [ "warmup" ] ~doc:"Warm-up seconds.") in
+  let seed =
+    Arg.(value & opt int 42
+         & info [ "seed" ]
+             ~doc:"Random seed ($(b,sweep): load point i runs seed + 7919 i).")
+  in
+  let uniform =
+    Arg.(value & opt (some float) None
+         & info [ "uniform" ] ~doc:"Uniform one-way delay (ms) instead of the GCP topology.")
+  in
+  let crashed =
+    Arg.(value & opt (list int) [] & info [ "crash" ] ~doc:"Replica ids that never start.")
+  in
+  let persist =
+    Arg.(value & flag
+         & info [ "persist" ]
+             ~doc:"Run every replica over the simulated persistence layer \
+                   (journal deliveries to a write-ahead log). Implied by \
+                   $(b,--restart).")
+  in
+  Term.(
+    const make $ n $ protocol $ nc $ q $ sparse_k $ size $ duration $ warmup
+    $ seed $ uniform $ crashed $ fault_flags $ restarts_flag $ adversaries_flag
+    $ persist)
+
+let sim_cmd =
+  let run spec load trace trace_chrome metrics_out profile folded_out
+      profile_json verbose =
+    if verbose then begin
+      Logs.set_reporter (Logs_fmt.reporter ());
+      Logs.set_level (Some Logs.Debug)
+    end;
+    let profile = profile || folded_out <> None || profile_json <> None in
     let run_with obs =
-      Runner.run
-        {
-          Runner.default_spec with
-          n;
-          protocol;
-          txns_per_proposal = load;
-          txn_size = size;
-          duration = Time.s duration;
-          warmup = Time.s warmup;
-          seed = Int64.of_int seed;
-          topology = (match uniform with Some ms -> `Uniform ms | None -> `Gcp);
-          crashed;
-          fault_plan;
-          restarts;
-          adversaries;
-          persist;
-          obs;
-        }
+      if profile then begin
+        Prof.set_enabled true;
+        Prof.reset ()
+      end;
+      let r = Runner.run { spec with Runner.txns_per_proposal = load; obs } in
+      if profile then Prof.set_enabled false;
+      r
     in
     (* A plain --trace streams each event straight to the JSONL file, so
        long runs never hold the trace in memory; --trace-chrome needs the
@@ -182,7 +237,7 @@ let sim_cmd =
        including the profile stage, which asserts a profiled run commits
        the exact sequence an unprofiled one does. *)
     Format.printf "commit fingerprint: %d@." r.commit_fingerprint;
-    if restarts <> [] then
+    if spec.restarts <> [] then
       List.iter
         (fun (node, commits) ->
           Format.printf "post-recovery commits [replica %d]: %d@." node commits)
@@ -208,43 +263,25 @@ let sim_cmd =
             Metrics.write_json o.Obs.metrics path;
             Format.printf "metrics -> %s@." path)
           metrics_out);
+    if profile then begin
+      print_string (Prof.table ~census:r.census ());
+      Option.iter
+        (fun path ->
+          Out_channel.with_open_text path (fun oc ->
+              output_string oc (Prof.folded ()));
+          Format.printf "folded stacks -> %s@." path)
+        folded_out;
+      Option.iter
+        (fun path ->
+          Out_channel.with_open_text path (fun oc ->
+              output_string oc (Prof.to_json ~census:r.census ()));
+          Format.printf "profile json -> %s@." path)
+        profile_json
+    end;
     if not r.agreement then exit 1
-  in
-  let n = Arg.(value & opt int 16 & info [ "n" ] ~doc:"Tribe size.") in
-  let protocol =
-    Arg.(value & opt protocol_conv `Single
-         & info [ "p"; "protocol" ] ~doc:"full | single-clan | multi-clan | sparse.")
-  in
-  let nc =
-    Arg.(value & opt (some int) None
-         & info [ "clan-size" ] ~doc:"Clan size (single-clan); default: exact minimum at 1e-6.")
-  in
-  let q = Arg.(value & opt int 2 & info [ "clans" ] ~doc:"Clan count (multi-clan).") in
-  let sparse_k =
-    Arg.(value & opt int 3
-         & info [ "sparse-k" ]
-             ~doc:"Sampled strong parents per vertex (sparse protocol).")
   in
   let load =
     Arg.(value & opt int 500 & info [ "load" ] ~doc:"Transactions per proposal.")
-  in
-  let size = Arg.(value & opt int 512 & info [ "txn-size" ] ~doc:"Transaction bytes.") in
-  let duration = Arg.(value & opt float 10.0 & info [ "duration" ] ~doc:"Simulated seconds.") in
-  let warmup = Arg.(value & opt float 3.0 & info [ "warmup" ] ~doc:"Warm-up seconds.") in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed.") in
-  let uniform =
-    Arg.(value & opt (some float) None
-         & info [ "uniform" ] ~doc:"Uniform one-way delay (ms) instead of the GCP topology.")
-  in
-  let crashed =
-    Arg.(value & opt (list int) [] & info [ "crash" ] ~doc:"Replica ids that never start.")
-  in
-  let persist =
-    Arg.(value & flag
-         & info [ "persist" ]
-             ~doc:"Run every replica over the simulated persistence layer \
-                   (journal deliveries to a write-ahead log). Implied by \
-                   $(b,--restart).")
   in
   let trace =
     Arg.(value & opt (some string) None
@@ -264,14 +301,36 @@ let sim_cmd =
              ~doc:"Dump the metric registry (counters, gauges, histograms) \
                    as JSON at the end of the run.")
   in
+  let profile =
+    Arg.(value & flag
+         & info [ "profile" ]
+             ~doc:"Run under the deterministic self-profiler and print \
+                   per-section call counts, self/total wall time, allocation \
+                   attribution and a per-subsystem heap census \
+                   (docs/PROFILING.md). Pure observation: the commit \
+                   fingerprint equals an unprofiled same-seed run's.")
+  in
+  let folded_out =
+    Arg.(value & opt (some string) None
+         & info [ "folded" ] ~docv:"FILE"
+             ~doc:"Write folded call stacks (one $(b,a;b;c microseconds) line \
+                   per call path) for flamegraph.pl or speedscope. Implies \
+                   $(b,--profile).")
+  in
+  let profile_json =
+    Arg.(value & opt (some string) None
+         & info [ "profile-json" ] ~docv:"FILE"
+             ~doc:"Write the profile as JSON (schema $(b,clanbft/profile/v1)); \
+                   $(b,*_ns) fields are wall-clock and non-deterministic, \
+                   everything else is byte-stable per seed. Implies \
+                   $(b,--profile).")
+  in
   let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Debug logs.") in
   Cmd.v
     (Cmd.info "sim" ~doc:"Run a simulated geo-distributed experiment")
     Term.(
-      const run $ n $ protocol $ nc $ q $ sparse_k $ load $ size $ duration
-      $ warmup $ seed $ uniform $ crashed $ fault_flags $ restarts_flag
-      $ adversaries_flag $ persist $ trace $ trace_chrome $ metrics_out
-      $ verbose)
+      const run $ scenario $ load $ trace $ trace_chrome $ metrics_out
+      $ profile $ folded_out $ profile_json $ verbose)
 
 (* ------------------------------------------------------------------ *)
 (* clan-size *)
@@ -302,18 +361,16 @@ let clan_size_cmd =
 (* ------------------------------------------------------------------ *)
 (* rbc *)
 
+let rbc_protocol s =
+  match Rbc.protocol_of_string (String.lowercase_ascii s) with
+  | Some p -> p
+  | None ->
+      prerr_endline "protocol: bracha | signed | tribe-bracha | tribe-signed";
+      exit 2
+
 let rbc_cmd =
   let run n nc protocol bytes adversary reveal decoys seed duration fault_plan =
-    let protocol =
-      match String.lowercase_ascii protocol with
-      | "bracha" -> Rbc.Bracha
-      | "signed" -> Rbc.Signed_two_round
-      | "tribe-bracha" -> Rbc.Tribe_bracha
-      | "tribe-signed" -> Rbc.Tribe_signed
-      | _ ->
-          prerr_endline "protocol: bracha | signed | tribe-bracha | tribe-signed";
-          exit 2
-    in
+    let protocol = rbc_protocol protocol in
     let value = String.make bytes 'x' in
     let behaviour =
       (* Default reveal is f_c + 1: the smallest clan exposure that still
@@ -451,44 +508,17 @@ let rbc_cmd =
 (* sweep *)
 
 let sweep_cmd =
-  let run n protocol nc q sparse_k loads size duration warmup seed uniform
-      restarts jobs =
-    let protocol =
-      match protocol with
-      | `Full -> Runner.Full
-      | `Single ->
-          let nc =
-            match nc with
-            | Some nc -> nc
-            | None -> (
-                let threshold = Bigint.Rat.of_ints 1 1_000_000 in
-                match
-                  Committee.min_clan_size ~n ~f:(Committee.default_f n) ~threshold ()
-                with
-                | Some nc -> nc
-                | None -> n)
-          in
-          Runner.Single_clan { nc }
-      | `Multi -> Runner.Multi_clan { q }
-      | `Sparse -> Runner.Sparse { k = sparse_k }
-    in
+  let run spec loads jobs =
     let specs =
       Array.of_list
         (List.mapi
            (fun i load ->
              {
-               Runner.default_spec with
-               n;
-               protocol;
-               txns_per_proposal = load;
-               txn_size = size;
-               duration = Time.s duration;
-               warmup = Time.s warmup;
+               spec with
+               Runner.txns_per_proposal = load;
                (* Each point gets its own seed so results do not depend on
                   which worker domain ran it or in what order. *)
-               seed = Int64.add (Int64.of_int seed) (Int64.of_int (i * 7919));
-               topology = (match uniform with Some ms -> `Uniform ms | None -> `Gcp);
-               restarts;
+               seed = Int64.add spec.Runner.seed (Int64.of_int (i * 7919));
              })
            loads)
     in
@@ -502,32 +532,9 @@ let sweep_cmd =
     if Array.exists (fun (r : Runner.result) -> not r.agreement) results then
       exit 1
   in
-  let n = Arg.(value & opt int 16 & info [ "n" ] ~doc:"Tribe size.") in
-  let protocol =
-    Arg.(value & opt protocol_conv `Single
-         & info [ "p"; "protocol" ] ~doc:"full | single-clan | multi-clan | sparse.")
-  in
-  let nc =
-    Arg.(value & opt (some int) None
-         & info [ "clan-size" ] ~doc:"Clan size (single-clan); default: exact minimum at 1e-6.")
-  in
-  let q = Arg.(value & opt int 2 & info [ "clans" ] ~doc:"Clan count (multi-clan).") in
-  let sparse_k =
-    Arg.(value & opt int 3
-         & info [ "sparse-k" ]
-             ~doc:"Sampled strong parents per vertex (sparse protocol).")
-  in
   let loads =
     Arg.(value & opt (list int) [ 125; 500; 1500; 3000; 6000 ]
          & info [ "loads" ] ~doc:"Comma-separated transactions-per-proposal sweep.")
-  in
-  let size = Arg.(value & opt int 512 & info [ "txn-size" ] ~doc:"Transaction bytes.") in
-  let duration = Arg.(value & opt float 10.0 & info [ "duration" ] ~doc:"Simulated seconds.") in
-  let warmup = Arg.(value & opt float 3.0 & info [ "warmup" ] ~doc:"Warm-up seconds.") in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Base random seed.") in
-  let uniform =
-    Arg.(value & opt (some float) None
-         & info [ "uniform" ] ~doc:"Uniform one-way delay (ms) instead of the GCP topology.")
   in
   let jobs =
     Arg.(value & opt (some int) None
@@ -537,130 +544,11 @@ let sweep_cmd =
   in
   Cmd.v
     (Cmd.info "sweep"
-       ~doc:"Run a load sweep (one simulation per load point) across worker \
+       ~doc:"Run a load sweep (one simulation per load point, every \
+             scenario flag of $(b,sim) applying to each) across worker \
              domains; results print in load order and are independent of \
              scheduling")
-    Term.(
-      const run $ n $ protocol $ nc $ q $ sparse_k $ loads $ size $ duration
-      $ warmup $ seed $ uniform $ restarts_flag $ jobs)
-
-(* ------------------------------------------------------------------ *)
-(* profile *)
-
-let profile_cmd =
-  let run n protocol nc q sparse_k load size duration warmup seed uniform
-      persist folded_out json_out =
-    let protocol =
-      match protocol with
-      | `Full -> Runner.Full
-      | `Single ->
-          let nc =
-            match nc with
-            | Some nc -> nc
-            | None -> (
-                let threshold = Bigint.Rat.of_ints 1 1_000_000 in
-                match
-                  Committee.min_clan_size ~n ~f:(Committee.default_f n) ~threshold ()
-                with
-                | Some nc -> nc
-                | None -> n)
-          in
-          Runner.Single_clan { nc }
-      | `Multi -> Runner.Multi_clan { q }
-      | `Sparse -> Runner.Sparse { k = sparse_k }
-    in
-    Prof.set_enabled true;
-    Prof.reset ();
-    let r =
-      Runner.run
-        {
-          Runner.default_spec with
-          n;
-          protocol;
-          txns_per_proposal = load;
-          txn_size = size;
-          duration = Time.s duration;
-          warmup = Time.s warmup;
-          seed = Int64.of_int seed;
-          topology = (match uniform with Some ms -> `Uniform ms | None -> `Gcp);
-          persist;
-        }
-    in
-    Prof.set_enabled false;
-    Format.printf "%a@." Runner.pp_result r;
-    Format.printf "commit fingerprint: %d@." r.commit_fingerprint;
-    print_string (Prof.table ~census:r.census ());
-    Option.iter
-      (fun path ->
-        let oc = open_out path in
-        output_string oc (Prof.folded ());
-        close_out oc;
-        Format.printf "folded stacks -> %s@." path)
-      folded_out;
-    Option.iter
-      (fun path ->
-        let oc = open_out path in
-        output_string oc (Prof.to_json ~census:r.census ());
-        close_out oc;
-        Format.printf "profile json -> %s@." path)
-      json_out;
-    if not r.agreement then exit 1
-  in
-  let n = Arg.(value & opt int 16 & info [ "n" ] ~doc:"Tribe size.") in
-  let protocol =
-    Arg.(value & opt protocol_conv `Single
-         & info [ "p"; "protocol" ] ~doc:"full | single-clan | multi-clan | sparse.")
-  in
-  let nc =
-    Arg.(value & opt (some int) None
-         & info [ "clan-size" ] ~doc:"Clan size (single-clan); default: exact minimum at 1e-6.")
-  in
-  let q = Arg.(value & opt int 2 & info [ "clans" ] ~doc:"Clan count (multi-clan).") in
-  let sparse_k =
-    Arg.(value & opt int 3
-         & info [ "sparse-k" ]
-             ~doc:"Sampled strong parents per vertex (sparse protocol).")
-  in
-  let load =
-    Arg.(value & opt int 500 & info [ "load" ] ~doc:"Transactions per proposal.")
-  in
-  let size = Arg.(value & opt int 512 & info [ "txn-size" ] ~doc:"Transaction bytes.") in
-  let duration = Arg.(value & opt float 10.0 & info [ "duration" ] ~doc:"Simulated seconds.") in
-  let warmup = Arg.(value & opt float 3.0 & info [ "warmup" ] ~doc:"Warm-up seconds.") in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed.") in
-  let uniform =
-    Arg.(value & opt (some float) None
-         & info [ "uniform" ] ~doc:"Uniform one-way delay (ms) instead of the GCP topology.")
-  in
-  let persist =
-    Arg.(value & flag
-         & info [ "persist" ]
-             ~doc:"Run every replica over the simulated persistence layer \
-                   (exercises the WAL sections).")
-  in
-  let folded_out =
-    Arg.(value & opt (some string) None
-         & info [ "folded" ] ~docv:"FILE"
-             ~doc:"Write folded call stacks (one $(b,a;b;c microseconds) line \
-                   per call path) for flamegraph.pl or speedscope.")
-  in
-  let json_out =
-    Arg.(value & opt (some string) None
-         & info [ "json" ] ~docv:"FILE"
-             ~doc:"Write the profile as JSON (schema $(b,clanbft/profile/v1)); \
-                   $(b,*_ns) fields are wall-clock and non-deterministic, \
-                   everything else is byte-stable per seed.")
-  in
-  Cmd.v
-    (Cmd.info "profile"
-       ~doc:"Run a simulated scenario under the deterministic self-profiler: \
-             per-section call counts, self/total wall time, allocation \
-             attribution and a per-subsystem heap census (docs/PROFILING.md). \
-             Profiling is pure observation — the run's commit fingerprint is \
-             identical to an unprofiled run with the same seed.")
-    Term.(
-      const run $ n $ protocol $ nc $ q $ sparse_k $ load $ size $ duration
-      $ warmup $ seed $ uniform $ persist $ folded_out $ json_out)
+    Term.(const run $ scenario $ loads $ jobs)
 
 (* ------------------------------------------------------------------ *)
 (* analyze *)
@@ -760,13 +648,7 @@ let check_cmd =
       let model =
         match String.lowercase_ascii model with
         | "sailfish" -> H.Sailfish
-        | "rbc" -> (
-            match String.lowercase_ascii protocol with
-            | "bracha" -> H.Rbc Rbc.Bracha
-            | "signed" -> H.Rbc Rbc.Signed_two_round
-            | "tribe-bracha" -> H.Rbc Rbc.Tribe_bracha
-            | "tribe-signed" -> H.Rbc Rbc.Tribe_signed
-            | _ -> fail2 "protocol: bracha | signed | tribe-bracha | tribe-signed")
+        | "rbc" -> H.Rbc (rbc_protocol protocol)
         | _ -> fail2 "model: rbc | sailfish"
       in
       let adversary =
@@ -995,7 +877,6 @@ let () =
           [
             sim_cmd;
             sweep_cmd;
-            profile_cmd;
             analyze_cmd;
             check_cmd;
             clan_size_cmd;

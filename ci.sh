@@ -281,17 +281,42 @@ if command -v jq >/dev/null 2>&1; then
 fi
 rm -rf "$smoke_dir"
 
+echo "== sweep smoke (worker-count independence, per-point seeds) =="
+# A sweep prints the same bytes whatever the worker count, and load
+# point i is exactly the sim run at seed + 7919 i (default seed 42).
+smoke_dir=$(mktemp -d)
+for j in 1 2; do
+  dune exec bin/clanbft_cli.exe -- sweep -n 16 -p full --loads 100,300 \
+    --duration 4 --warmup 1 -j "$j" >"$smoke_dir/sw$j" 2>/dev/null || {
+    echo "sweep -j $j failed"
+    exit 1
+  }
+done
+if ! cmp -s "$smoke_dir/sw1" "$smoke_dir/sw2"; then
+  echo "sweep output depends on the worker count"
+  diff "$smoke_dir/sw1" "$smoke_dir/sw2" | head -5
+  exit 1
+fi
+dune exec bin/clanbft_cli.exe -- sim -n 16 -p full --load 300 \
+  --duration 4 --warmup 1 --seed 7961 >"$smoke_dir/point" 2>/dev/null
+if [ "$(sed -n 2p "$smoke_dir/sw1")" != "$(head -n 1 "$smoke_dir/point")" ]; then
+  echo "sweep row 2 differs from sim --load 300 --seed 7961"
+  exit 1
+fi
+echo "  sweep -j 1 == -j 2; row 2 == sim --load 300 --seed 7961"
+rm -rf "$smoke_dir"
+
 echo "== profile smoke (self-profiler: pure observation, deterministic modulo *_ns) =="
 smoke_dir=$(mktemp -d)
 # The profiler must not perturb the run: a profiled run's commit
 # fingerprint must equal an unprofiled same-seed run's.
 dune exec bin/clanbft_cli.exe -- sim -n 16 -p full --load 200 \
   --duration 4 --warmup 1 --seed 7 >"$smoke_dir/plain" 2>/dev/null
-dune exec bin/clanbft_cli.exe -- profile -n 16 -p full --load 200 \
+dune exec bin/clanbft_cli.exe -- sim --profile -n 16 -p full --load 200 \
   --duration 4 --warmup 1 --seed 7 --folded "$smoke_dir/p1.folded" \
-  --json "$smoke_dir/p1.json" >"$smoke_dir/prof1" 2>/dev/null
-dune exec bin/clanbft_cli.exe -- profile -n 16 -p full --load 200 \
-  --duration 4 --warmup 1 --seed 7 --json "$smoke_dir/p2.json" \
+  --profile-json "$smoke_dir/p1.json" >"$smoke_dir/prof1" 2>/dev/null
+dune exec bin/clanbft_cli.exe -- sim --profile -n 16 -p full --load 200 \
+  --duration 4 --warmup 1 --seed 7 --profile-json "$smoke_dir/p2.json" \
   >"$smoke_dir/prof2" 2>/dev/null
 fp_plain=$(awk -F': ' '/^commit fingerprint/ { print $2 }' "$smoke_dir/plain")
 fp_prof=$(awk -F': ' '/^commit fingerprint/ { print $2 }' "$smoke_dir/prof1")
@@ -299,6 +324,25 @@ if [ -z "$fp_plain" ] || [ "$fp_plain" != "$fp_prof" ]; then
   echo "profiled run diverged from unprofiled same-seed run ($fp_prof vs $fp_plain)"
   exit 1
 fi
+# Profiling composes with adversaries and crash-recovery: a profiled
+# grief + restart run commits exactly what the unprofiled one does.
+dune exec bin/clanbft_cli.exe -- sim -n 16 -p full --load 200 \
+  --duration 4 --warmup 1 --seed 7 --adversary 2@grief:0.8 \
+  --restart 3@2s:3s >"$smoke_dir/adv_plain" 2>/dev/null
+dune exec bin/clanbft_cli.exe -- sim --profile -n 16 -p full --load 200 \
+  --duration 4 --warmup 1 --seed 7 --adversary 2@grief:0.8 \
+  --restart 3@2s:3s >"$smoke_dir/adv_prof" 2>/dev/null
+fp_adv_plain=$(awk -F': ' '/^commit fingerprint/ { print $2 }' "$smoke_dir/adv_plain")
+fp_adv_prof=$(awk -F': ' '/^commit fingerprint/ { print $2 }' "$smoke_dir/adv_prof")
+if [ -z "$fp_adv_plain" ] || [ "$fp_adv_plain" != "$fp_adv_prof" ]; then
+  echo "profiled attack run diverged from unprofiled ($fp_adv_prof vs $fp_adv_plain)"
+  exit 1
+fi
+grep -q '^wal.append ' "$smoke_dir/adv_prof" || {
+  echo "profiled restart run has no wal.append section"
+  exit 1
+}
+echo "  profiled grief+restart fingerprint $fp_adv_prof matches unprofiled"
 # The folded-stack export is non-empty and every line is "path <self_us>".
 test -s "$smoke_dir/p1.folded" || {
   echo "folded-stack export is empty"

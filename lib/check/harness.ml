@@ -7,6 +7,7 @@ module Sailfish = Clanbft_consensus.Sailfish
 module Config = Clanbft_types.Config
 module Msg = Clanbft_types.Msg
 module Vertex = Clanbft_types.Vertex
+module Strategy = Clanbft_faults.Strategy
 
 type violation = { invariant : string; detail : string }
 type adversary = No_adversary | Equivocate | Collude | Grief
@@ -41,11 +42,11 @@ let model_to_string = function
   | Sailfish -> "sailfish"
 
 let model_of_string = function
-  | "rbc-bracha" -> Ok (Rbc Rbc.Bracha)
-  | "rbc-signed" -> Ok (Rbc Rbc.Signed_two_round)
-  | "rbc-tribe-bracha" -> Ok (Rbc Rbc.Tribe_bracha)
-  | "rbc-tribe-signed" -> Ok (Rbc Rbc.Tribe_signed)
   | "sailfish" -> Ok Sailfish
+  | s when String.starts_with ~prefix:"rbc-" s -> (
+      match Rbc.protocol_of_string (String.sub s 4 (String.length s - 4)) with
+      | Some p -> Ok (Rbc p)
+      | None -> Error ("unknown model: " ^ s))
   | s -> Error ("unknown model: " ^ s)
 
 let adversary_to_string = function
@@ -463,25 +464,15 @@ let build_sailfish ~trace s =
             (Printf.sprintf "slot (%d,%d): node %d accepted a second vertex digest"
                v.round v.source me)
   in
-  (* Grief adversary (node 0): the honest stack runs untouched, but every
-     copy of its own proposals departs just inside the round timeout —
-     the checker-scale twin of [Clanbft_faults.Strategy]'s grief. The held
-     copy re-enters through {!Net.send_unfiltered}, so it is never
-     re-held, and the delay is a calendar event the explorer schedules
-     like any timer. *)
-  (match s.adversary with
-  | Grief ->
-      let hold =
-        9 * Sailfish.default_params.Sailfish.round_timeout / 10
-      in
-      Net.set_filter net (fun ~src ~dst msg ->
-          match msg with
-          | Msg.Val { vertex; _ } when src = 0 && vertex.Vertex.source = 0 ->
-              Engine.schedule_after engine hold (fun () ->
-                  Net.send_unfiltered net ~src ~dst msg);
-              false
-          | _ -> true)
-  | _ -> ());
+  (* Grief adversary (node 0): the strategy engine's grief, holding every
+     copy of node 0's own proposals to 0.9 x round_timeout while its
+     honest stack runs untouched. The held copy re-enters through
+     {!Net.send_unfiltered}, so it is never re-held, and the delay is a
+     calendar event the explorer schedules like any timer. *)
+  if s.adversary = Grief then
+    Strategy.install ~engine ~net ~keychain ~config:cfg
+      ~round_timeout:Sailfish.default_params.Sailfish.round_timeout ?obs
+      [ { Strategy.node = 0; kind = Strategy.Grief 0.9 } ];
   let nodes =
     Array.init n (fun me ->
         Sailfish.create ~me ~config:cfg ~keychain ~engine ~net ?obs

@@ -65,9 +65,10 @@ type adversary = No_adversary | Equivocate | Collude | Grief
       must find a breaking schedule. Used by the CI self-test to prove
       the checker can catch real violations. (RBC models only.)
     - [Grief]: node 0 runs the full honest stack, but every copy of its
-      own proposals is held back to just inside the round timeout — the
-      checker-scale twin of {!Clanbft_faults.Strategy}'s slow-proposer
-      griefing. Within the fault model: every explored interleaving of
+      own proposals is held back to just inside the round timeout: the
+      strategy engine's slow-proposer griefing,
+      {!Clanbft_faults.Strategy.install} with [Grief 0.9] on node 0.
+      Within the fault model: every explored interleaving of
       the delayed proposals against the timeout machinery must preserve
       the commit-prefix and vertex-uniqueness invariants, and the world
       must still commit. (Sailfish model only.) *)

@@ -5,6 +5,8 @@
    sinks produce them); nothing here reads clocks, randomness or global
    state, so analyzing the same trace twice yields byte-identical reports. *)
 
+module Json = Clanbft_util.Json
+
 (* ------------------------------------------------------------------ *)
 (* Report types *)
 
@@ -599,20 +601,6 @@ let human r =
       r.stalls;
   Buffer.contents b
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let dist_json d =
   Printf.sprintf
     {|{"count":%d,"p50_us":%d,"p99_us":%d,"mean_us":%.1f,"max_us":%d}|}
@@ -656,7 +644,7 @@ let to_json r =
             Printf.sprintf
               {|{"kind":"%s","from_us":%d,"until_us":%d,"gap_us":%d,"cause":"%s"}|}
               (match s.st_kind with `Commit -> "commit" | `Round -> "round")
-              s.st_from s.st_until s.st_gap_us (json_escape s.st_cause))
+              s.st_from s.st_until s.st_gap_us (Json.escape s.st_cause))
           r.stalls));
   pf "}\n";
   Buffer.contents b

@@ -1,3 +1,4 @@
+module Json = Clanbft_util.Json
 module Stats = Clanbft_util.Stats
 
 type counter = int ref
@@ -84,19 +85,6 @@ let fold reg ~init ~f =
 (* ------------------------------------------------------------------ *)
 (* JSON export *)
 
-let escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let float_json f =
   if Float.is_nan f then "null"
   else if Float.is_integer f && Float.abs f < 1e15 then
@@ -105,7 +93,7 @@ let float_json f =
 
 let labels_json labels =
   labels
-  |> List.map (fun (k, v) -> Printf.sprintf {|"%s":"%s"|} (escape k) (escape v))
+  |> List.map (fun (k, v) -> Printf.sprintf {|"%s":"%s"|} (Json.escape k) (Json.escape v))
   |> String.concat ","
 
 let to_json reg =
@@ -117,7 +105,7 @@ let to_json reg =
       if !first then first := false else Buffer.add_char b ',';
       Buffer.add_string b
         (Printf.sprintf "\n  {\"name\":\"%s\",\"labels\":{%s},"
-           (escape key.name) (labels_json key.labels));
+           (Json.escape key.name) (labels_json key.labels));
       (match inst with
       | C c -> Buffer.add_string b (Printf.sprintf "\"type\":\"counter\",\"value\":%d}" !c)
       | G g ->

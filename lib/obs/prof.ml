@@ -9,6 +9,8 @@
    removed exactly — keeping the reported words deterministic and equal to
    what the instrumented code itself allocated. *)
 
+module Json = Clanbft_util.Json
+
 let now_ns () = Int64.to_int (Monotonic_clock.now ())
 
 (* One [Gc.counters] call reads both heaps; its own allocations (a tuple
@@ -374,19 +376,6 @@ let folded () =
       Buffer.add_char b '\n');
   Buffer.contents b
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json ?census () =
   let b = Buffer.create 4096 in
   let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
@@ -401,7 +390,7 @@ let to_json ?census () =
     (fun i r ->
       pf "%s\n    {\"name\":\"%s\",\"calls\":%d,\"self_ns\":%d,\"incl_ns\":%d,\"self_minor_words\":%d,\"incl_minor_words\":%d,\"self_major_words\":%d,\"incl_major_words\":%d}"
         (if i = 0 then "" else ",")
-        (json_escape r.name) r.calls r.self_ns r.incl_ns r.self_minor_words
+        (Json.escape r.name) r.calls r.self_ns r.incl_ns r.self_minor_words
         r.incl_minor_words r.self_major_words r.incl_major_words)
     rows;
   pf "\n  ],\n";
@@ -410,7 +399,7 @@ let to_json ?census () =
   iter_tree_paths (fun path nd ->
       pf "%s\n    {\"path\":\"%s\",\"calls\":%d,\"self_ns\":%d,\"self_minor_words\":%d,\"self_major_words\":%d}"
         (if !first then "" else ",")
-        (json_escape (String.concat ";" path))
+        (Json.escape (String.concat ";" path))
         !node_calls.(nd) !node_self_ns.(nd) !node_self_minor.(nd)
         !node_self_major.(nd);
       first := false);
@@ -424,7 +413,7 @@ let to_json ?census () =
         (fun i (name, words) ->
           pf "%s\n    {\"subsystem\":\"%s\",\"live_words\":%d}"
             (if i = 0 then "" else ",")
-            (json_escape name) words)
+            (Json.escape name) words)
         rows;
       pf "\n  ]");
   pf "\n}\n";

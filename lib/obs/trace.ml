@@ -1,3 +1,5 @@
+module Json = Clanbft_util.Json
+
 type phase = Propose | Val | Echo | Ready | Cert | Deliver | Pull_retry
 
 let phase_name = function
@@ -43,40 +45,24 @@ type record = { ts : int; ev : event }
 (* JSONL (serialization lives above the sink so streaming sinks can use
    it from [emit]) *)
 
-let escape s =
-  (* Message tags and action names are plain ASCII identifiers, but escape
-     defensively so arbitrary kinds cannot corrupt the stream. *)
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let jsonl_of_record { ts; ev } =
   match ev with
   | Msg_send { src; dst; kind; bytes } ->
       Printf.sprintf
         {|{"ts":%d,"type":"msg_send","src":%d,"dst":%d,"kind":"%s","bytes":%d}|}
-        ts src dst (escape kind) bytes
+        ts src dst (Json.escape kind) bytes
   | Msg_bcast { src; kind; bytes; count } ->
       Printf.sprintf
         {|{"ts":%d,"type":"msg_bcast","src":%d,"kind":"%s","bytes":%d,"count":%d}|}
-        ts src (escape kind) bytes count
+        ts src (Json.escape kind) bytes count
   | Msg_recv { src; dst; kind; bytes } ->
       Printf.sprintf
         {|{"ts":%d,"type":"msg_recv","src":%d,"dst":%d,"kind":"%s","bytes":%d}|}
-        ts src dst (escape kind) bytes
+        ts src dst (Json.escape kind) bytes
   | Uplink { node; kind; bytes; enqueued; start; depart } ->
       Printf.sprintf
         {|{"ts":%d,"type":"uplink","node":%d,"kind":"%s","bytes":%d,"enqueued":%d,"start":%d,"depart":%d}|}
-        ts node (escape kind) bytes enqueued start depart
+        ts node (Json.escape kind) bytes enqueued start depart
   | Rbc_phase { node; sender; round; phase } ->
       Printf.sprintf
         {|{"ts":%d,"type":"rbc_phase","node":%d,"sender":%d,"round":%d,"phase":"%s"}|}
@@ -92,11 +78,11 @@ let jsonl_of_record { ts; ev } =
   | Fault_fire { rule; action; kind; src; dst } ->
       Printf.sprintf
         {|{"ts":%d,"type":"fault_fire","rule":%d,"action":"%s","kind":"%s","src":%d,"dst":%d}|}
-        ts rule (escape action) (escape kind) src dst
+        ts rule (Json.escape action) (Json.escape kind) src dst
   | Recovery { node; stage; round } ->
       Printf.sprintf
         {|{"ts":%d,"type":"recovery","node":%d,"stage":"%s","round":%d}|}
-        ts node (escape stage) round
+        ts node (Json.escape stage) round
 
 (* --- parsing our own output back ----------------------------------- *)
 
@@ -309,7 +295,7 @@ let chrome_instant b ~name ~cat ~ts ~pid ~tid ~args =
   Buffer.add_string b
     (Printf.sprintf
        {|{"name":"%s","cat":"%s","ph":"i","s":"t","ts":%d,"pid":%d,"tid":%d,"args":{%s}},|}
-       (escape name) cat ts pid tid args)
+       (Json.escape name) cat ts pid tid args)
 
 (* The natural RBC span chain for one (node, sender, round) instance:
    PROPOSE → VAL → ECHO → READY → CERT → Deliver. Pull retries are
@@ -375,7 +361,7 @@ let write_chrome t path =
           Buffer.add_string b
             (Printf.sprintf
                {|{"name":"%s","cat":"uplink","ph":"X","ts":%d,"dur":%d,"pid":%d,"tid":1,"args":{"bytes":%d,"queued_us":%d}},|}
-               (escape kind) start
+               (Json.escape kind) start
                (max 0 (depart - start))
                node bytes
                (max 0 (start - enqueued)))

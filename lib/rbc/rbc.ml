@@ -20,6 +20,13 @@ let protocol_name = function
   | Tribe_bracha -> "tribe-bracha"
   | Tribe_signed -> "tribe-signed"
 
+let protocol_of_string = function
+  | "bracha" -> Some Bracha
+  | "signed" -> Some Signed_two_round
+  | "tribe-bracha" -> Some Tribe_bracha
+  | "tribe-signed" -> Some Tribe_signed
+  | _ -> None
+
 let is_tribe = function
   | Tribe_bracha | Tribe_signed -> true
   | Bracha | Signed_two_round -> false

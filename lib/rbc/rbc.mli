@@ -29,6 +29,9 @@ type protocol = Bracha | Signed_two_round | Tribe_bracha | Tribe_signed
 
 val protocol_name : protocol -> string
 
+val protocol_of_string : string -> protocol option
+(** ["bracha"] | ["signed"] | ["tribe-bracha"] | ["tribe-signed"], else [None]. *)
+
 val is_tribe : protocol -> bool
 (** Clan-based dissemination: only clan members receive (and serve) the
     full value. *)

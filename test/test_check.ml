@@ -94,6 +94,28 @@ let test_spec_meta_round_trip () =
   | Error e -> Alcotest.failf "spec_of_meta: %s" e
   | Ok spec' -> Alcotest.(check bool) "spec round-trips" true (spec = spec')
 
+let test_rbc_family_round_trip () =
+  (* One parser serves the CLI and schedule files: every family parses
+     from its CLI name and survives the schedule-file model string. *)
+  List.iter
+    (fun (name, p) ->
+      Alcotest.(check bool) (name ^ " parses") true
+        (Rbc.protocol_of_string name = Some p);
+      let spec = { H.default_spec with H.model = H.Rbc p } in
+      match H.spec_of_meta (H.spec_meta spec) with
+      | Error e -> Alcotest.failf "spec_of_meta (%s): %s" name e
+      | Ok spec' -> Alcotest.(check bool) (name ^ " model round-trips") true (spec = spec'))
+    [
+      ("bracha", Rbc.Bracha);
+      ("signed", Rbc.Signed_two_round);
+      ("tribe-bracha", Rbc.Tribe_bracha);
+      ("tribe-signed", Rbc.Tribe_signed);
+    ];
+  Alcotest.(check bool) "unknown family rejected" true
+    (Rbc.protocol_of_string "gossip" = None);
+  Alcotest.(check bool) "unknown model rejected" true
+    (Result.is_error (H.spec_of_meta [ ("model", "rbc-gossip") ]))
+
 (* ------------------------------------------------------------------ *)
 (* Exploration *)
 
@@ -213,7 +235,11 @@ let test_sailfish_grief_exhaustive () =
   in
   Alcotest.(check bool)
     (Printf.sprintf "canonical grief run commits (got %d)" commits)
-    true (commits > 0)
+    true (commits > 0);
+  (* Pinned: the grief hold comes from the strategy engine's [Grief 0.9],
+     and must keep the canonical run's exact commit sequence. *)
+  Alcotest.(check string) "canonical grief state"
+    "commits=29 hash=889bff9bd117 pool=36" (H.state_line run.E.world)
 
 let test_sailfish_grief_walks () =
   let spec =
@@ -257,6 +283,8 @@ let suites =
         Alcotest.test_case "spec meta round-trip" `Quick test_spec_meta_round_trip;
         Alcotest.test_case "sparse spec meta round-trip" `Quick
           test_sparse_spec_meta_round_trip;
+        Alcotest.test_case "rbc family names round-trip" `Quick
+          test_rbc_family_round_trip;
       ] );
     ( "check.explore",
       [

@@ -342,6 +342,16 @@ let prop_hex_roundtrip =
     QCheck.string
     (fun s -> Hex.decode (Hex.encode s) = s)
 
+(* ------------------------------------------------------------------ *)
+(* Json *)
+
+let test_json_escape () =
+  Alcotest.(check string) "plain" "engine.dispatch" (Json.escape "engine.dispatch");
+  Alcotest.(check string) "quote" {|a\"b|} (Json.escape {|a"b|});
+  Alcotest.(check string) "backslash" {|a\\b|} (Json.escape {|a\b|});
+  Alcotest.(check string) "newline" {|a\nb|} (Json.escape "a\nb");
+  Alcotest.(check string) "control" {|a\u0001b|} (Json.escape "a\x01b")
+
 let suites =
   [
     ( "util.rng",
@@ -398,4 +408,5 @@ let suites =
         Alcotest.test_case "errors" `Quick test_hex_errors;
         qtest prop_hex_roundtrip;
       ] );
+    ("util.json", [ Alcotest.test_case "escape" `Quick test_json_escape ]);
   ]
