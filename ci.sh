@@ -97,6 +97,28 @@ fi
 echo "n=50 committed $n50_txns txns within budget"
 rm -rf "$smoke_dir"
 
+echo "== multi-clan large-block smoke (n=16, q=2, 6000 txns per proposal) =="
+# Pinned: how a block holds its transactions may change its cost, never
+# its digest or the commit sequence.
+smoke_dir=$(mktemp -d)
+dune exec bin/clanbft_cli.exe -- sim -n 16 -p multi-clan --clans 2 \
+  --load 6000 --duration 3 --warmup 1 --seed 7 >"$smoke_dir/mc" 2>/dev/null
+grep -q "agree=true" "$smoke_dir/mc" || {
+  echo "agreement lost in the multi-clan run"
+  cat "$smoke_dir/mc"
+  exit 1
+}
+mc_txns=$(awk '/^committed/ { print $2 }' "$smoke_dir/mc")
+mc_fp=$(awk -F': ' '/^commit fingerprint/ { print $2 }' "$smoke_dir/mc")
+if [ "$mc_txns" != "552000" ] || [ "$mc_fp" != "-877030967115697687" ]; then
+  echo "multi-clan smoke drifted: committed $mc_txns (pinned 552000)," \
+    "fingerprint $mc_fp (pinned -877030967115697687)"
+  cat "$smoke_dir/mc"
+  exit 1
+fi
+echo "multi-clan committed $mc_txns txns, fingerprint $mc_fp"
+rm -rf "$smoke_dir"
+
 echo "== sparse smoke (n=16, k=3, same-seed double run) =="
 # The sparse edge policy derives every sampled parent from the vertex
 # seed: two same-seed runs must be byte-identical, and the O(k) parent

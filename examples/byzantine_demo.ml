@@ -39,7 +39,7 @@ let build_world () =
         else
           Some
             (Sailfish.create ~me ~config ~keychain ~engine ~net ~params
-               ~make_block:(fun ~round:_ -> [||])
+               ~make_block:(fun ~round:_ -> Block.new_record 0)
                ~on_commit:(fun ~leader:_ _ -> ())
                ()))
   in

@@ -4,6 +4,7 @@ module Rng = Clanbft_util.Rng
 module Obs = Clanbft_obs.Obs
 module Rbc = Clanbft_rbc.Rbc
 module Sailfish = Clanbft_consensus.Sailfish
+module Block = Clanbft_types.Block
 module Config = Clanbft_types.Config
 module Msg = Clanbft_types.Msg
 module Vertex = Clanbft_types.Vertex
@@ -476,7 +477,7 @@ let build_sailfish ~trace s =
   let nodes =
     Array.init n (fun me ->
         Sailfish.create ~me ~config:cfg ~keychain ~engine ~net ?obs
-          ~make_block:(fun ~round:_ -> [||])
+          ~make_block:(fun ~round:_ -> Block.new_record 0)
           ~on_commit:(on_commit me) ~on_deliver:(on_deliver me) ())
   in
   Array.iter Sailfish.start nodes;

@@ -91,7 +91,7 @@ type t = {
   params : params;
   obsh : obs_handles;
   store : Store.t;
-  make_block : round:int -> Transaction.t array;
+  make_block : round:int -> bytes; (* a record to seal, see [Block.seal] *)
   on_commit : leader:Vertex.t -> Vertex.t list -> unit;
   on_block : Block.t -> unit;
   (* dissemination: round -> slot per source, as in [Store]. Echo receipts
@@ -1229,7 +1229,7 @@ and propose t r =
   in
   let block =
     if Config.is_block_proposer t.config t.me then
-      Some (Block.make ~proposer:t.me ~round:r ~txns:(t.make_block ~round:r))
+      Some (Block.seal ~proposer:t.me ~round:r (t.make_block ~round:r))
     else None
   in
   let block_digest =
@@ -1455,10 +1455,8 @@ let state_words t =
   + table_words t.tcs cert_words
   + table_words t.nvcs cert_words
 
-let census t =
-  let block_words =
-    Hashtbl.fold (fun _ b acc -> acc + Block.approx_live_words b) t.blocks 0
-  in
+let census ?(charge = Block.approx_live_words) t =
+  let block_words = Hashtbl.fold (fun _ b acc -> acc + charge b) t.blocks 0 in
   [
     ("consensus.blocks", block_words);
     ("consensus.state", state_words t);

@@ -58,7 +58,7 @@ val create :
   net:Msg.t Clanbft_sim.Net.t ->
   ?params:params ->
   ?obs:Clanbft_obs.Obs.t ->
-  make_block:(round:int -> Transaction.t array) ->
+  make_block:(round:int -> bytes) ->
   on_commit:(leader:Vertex.t -> Vertex.t list -> unit) ->
   ?on_block:(Block.t -> unit) ->
   ?on_deliver:(Vertex.t -> unit) ->
@@ -67,10 +67,13 @@ val create :
   t
 (** Wires the node to the network (installs its handler) but does not start
     it. [make_block] is the mempool hook, called once per round this node
-    proposes a block in. [on_commit] receives each newly committed leader
-    and its newly ordered causal history (ascending (round, source)) —
-    the a_deliver stream. [on_block] fires whenever a block this node
-    stores becomes locally available (dissemination or pull).
+    proposes a block in: it returns a {!Block.new_record} with every
+    transaction header written, which the node seals with its id and the
+    round ({!Block.seal}) and owns from then on. [on_commit] receives
+    each newly committed leader and its newly ordered causal history
+    (ascending (round, source)) — the a_deliver stream. [on_block] fires
+    whenever a block this node stores becomes locally available
+    (dissemination or pull).
 
     [obs] (default {!Clanbft_obs.Obs.disabled}) receives RBC phase
     transitions (VAL accepted / ECHO sent / certificate), vertex
@@ -159,10 +162,13 @@ val block_of : t -> round:int -> source:int -> Block.t option
 
 val dag_size : t -> int
 
-val census : t -> (string * int) list
+val census : ?charge:(Block.t -> int) -> t -> (string * int) list
 (** Heap-census rows for this node's consensus layer:
     [consensus.blocks], [consensus.state], [dag.store] and [keychain]
-    approximate live words. See docs/PROFILING.md. *)
+    approximate live words. [consensus.blocks] sums [charge] (default
+    {!Block.approx_live_words}) over the stored blocks; a census across
+    replicas passes one {!Block.charge_once} so blocks they share count
+    once. See docs/PROFILING.md. *)
 
 val census_parts : t -> Obj.t list * Obj.t list
 (** The heap values [consensus.state] charges — this node's slot, vote,

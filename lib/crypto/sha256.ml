@@ -43,12 +43,42 @@ let init () =
 
 let mask = 0xFFFFFFFF
 
+(* The 64 rounds over schedule [w], added into chaining words [h]. The
+   eight working variables live as parameters of this tail-recursive
+   function, and it is toplevel rather than a closure over [w] and [h], so
+   compressing a block allocates nothing. *)
+let rec rounds w h i a b c d e f g hh =
+  if i = 64 then begin
+    h.(0) <- (h.(0) + a) land mask;
+    h.(1) <- (h.(1) + b) land mask;
+    h.(2) <- (h.(2) + c) land mask;
+    h.(3) <- (h.(3) + d) land mask;
+    h.(4) <- (h.(4) + e) land mask;
+    h.(5) <- (h.(5) + f) land mask;
+    h.(6) <- (h.(6) + g) land mask;
+    h.(7) <- (h.(7) + hh) land mask
+  end
+  else begin
+    let ed = e lor (e lsl 32) in
+    let s1 = ((ed lsr 6) lxor (ed lsr 11) lxor (ed lsr 25)) land mask in
+    (* ch = (e AND f) XOR (NOT e AND g), via the branch-free identity. *)
+    let ch = g lxor (e land (f lxor g)) in
+    let temp1 =
+      (hh + s1 + ch + Array.unsafe_get k i + Array.unsafe_get w i) land mask
+    in
+    let ad = a lor (a lsl 32) in
+    let s0 = ((ad lsr 2) lxor (ad lsr 13) lxor (ad lsr 22)) land mask in
+    (* maj, as (a AND b) OR (c AND (a OR b)). *)
+    let maj = a land b lor (c land (a lor b)) in
+    let temp2 = (s0 + maj) land mask in
+    rounds w h (i + 1) ((temp1 + temp2) land mask) a b c ((d + temp1) land mask)
+      e f g
+  end
+
 (* Compress one 64-byte block read from [src] at [off]. The schedule loads
    words with 32-bit reads instead of four byte loads each; the expansion
    and round loops hoist repeated array reads and go through unsafe
-   accessors (indices are statically in range); the eight working variables
-   live as parameters of a tail-recursive round function, so the whole
-   round loop runs without a single heap allocation. *)
+   accessors (indices are statically in range). *)
 let compress_block ctx src off =
   let w = ctx.w in
   for i = 0 to 15 do
@@ -69,35 +99,7 @@ let compress_block ctx src off =
       land mask)
   done;
   let h = ctx.h in
-  let rec round i a b c d e f g hh =
-    if i = 64 then begin
-      h.(0) <- (h.(0) + a) land mask;
-      h.(1) <- (h.(1) + b) land mask;
-      h.(2) <- (h.(2) + c) land mask;
-      h.(3) <- (h.(3) + d) land mask;
-      h.(4) <- (h.(4) + e) land mask;
-      h.(5) <- (h.(5) + f) land mask;
-      h.(6) <- (h.(6) + g) land mask;
-      h.(7) <- (h.(7) + hh) land mask
-    end
-    else begin
-      let ed = e lor (e lsl 32) in
-      let s1 = ((ed lsr 6) lxor (ed lsr 11) lxor (ed lsr 25)) land mask in
-      (* ch = (e AND f) XOR (NOT e AND g), via the branch-free identity. *)
-      let ch = g lxor (e land (f lxor g)) in
-      let temp1 =
-        (hh + s1 + ch + Array.unsafe_get k i + Array.unsafe_get w i) land mask
-      in
-      let ad = a lor (a lsl 32) in
-      let s0 = ((ad lsr 2) lxor (ad lsr 13) lxor (ad lsr 22)) land mask in
-      (* maj, as (a AND b) OR (c AND (a OR b)). *)
-      let maj = a land b lor (c land (a lor b)) in
-      let temp2 = (s0 + maj) land mask in
-      round (i + 1) ((temp1 + temp2) land mask) a b c ((d + temp1) land mask) e
-        f g
-    end
-  in
-  round 0 h.(0) h.(1) h.(2) h.(3) h.(4) h.(5) h.(6) h.(7)
+  rounds w h 0 h.(0) h.(1) h.(2) h.(3) h.(4) h.(5) h.(6) h.(7)
 
 let compress ctx = compress_block ctx ctx.block 0
 

@@ -197,8 +197,11 @@ let install ~engine ~net ~keychain ~config ~round_timeout
     let forge_decoy me (vertex : Vertex.t) (block : Block.t) =
       if Block.txn_count block = 0 then None
       else
-        let txns = Array.sub block.txns 0 (Array.length block.txns - 1) in
-        let db = Block.make ~proposer:me ~round:vertex.round ~txns in
+        let record =
+          Bytes.sub (Bytes.unsafe_of_string block.record) 0
+            (String.length block.record - Block.txn_bytes)
+        in
+        let db = Block.seal ~proposer:me ~round:vertex.round record in
         let dv =
           Vertex.make ~round:vertex.round ~source:vertex.source
             ~block_digest:(Block.digest db) ~strong_edges:vertex.strong_edges

@@ -15,7 +15,7 @@ let fold_digest t d =
 
 let apply_block t (b : Block.t) =
   fold_digest t (Block.digest b);
-  t.txns <- t.txns + Array.length b.txns
+  t.txns <- t.txns + Block.txn_count b
 
 let skip_block t digest = fold_digest t digest
 let state_digest t = t.state

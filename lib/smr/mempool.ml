@@ -22,23 +22,20 @@ let submit t txn =
   end
 
 let take t ~max =
-  (* An explicit loop: [Array.init] with an effectful initializer would pop
-     in unspecified element order, scrambling FIFO fairness. *)
   let count = min max (Queue.length t.queue) in
-  if count = 0 then [||]
-  else begin
-    let first = Queue.pop t.queue in
-    let out = Array.make count first in
-    for i = 1 to count - 1 do
-      out.(i) <- Queue.pop t.queue
-    done;
-    out
-  end
+  let record = Block.new_record count in
+  for i = 0 to count - 1 do
+    let x = Queue.pop t.queue in
+    Block.set_header record i ~id:x.id ~client:x.client
+      ~created_at:x.created_at ~size:x.size
+  done;
+  record
 
 let pending t = Queue.length t.queue
 let submitted_total t = t.submitted
 let rejected_total t = t.rejected
 
-(* Heap census: one Queue cell (~4 words) plus the transaction record per
-   pending entry. *)
-let approx_live_words t = 8 + (Queue.length t.queue * (4 + 8))
+(* Heap census, headers included: this record (5 words) and the queue's
+   (4), then per pending entry a 3-word queue cell and the 5-word
+   transaction. *)
+let approx_live_words t = 9 + (Queue.length t.queue * (3 + 5))

@@ -11,13 +11,14 @@ val create : ?capacity:int -> unit -> t
 val submit : t -> Transaction.t -> bool
 (** [false] when the pool is full. *)
 
-val take : t -> max:int -> Transaction.t array
-(** Remove and return up to [max] transactions, FIFO. *)
+val take : t -> max:int -> bytes
+(** Remove up to [max] transactions, FIFO, and pack their headers into a
+    fresh {!Block.new_record}, ready to seal. *)
 
 val pending : t -> int
 val submitted_total : t -> int
 val rejected_total : t -> int
 
 val approx_live_words : t -> int
-(** Heap-census hook: word estimate of the queued transactions. See
-    docs/PROFILING.md. *)
+(** Heap-census hook: the pool's live words, headers included — exact,
+    checked against [Obj.reachable_words]. See docs/PROFILING.md. *)

@@ -43,9 +43,8 @@ let rec drain t =
             (match t.on_txn_executed with
             | None -> ()
             | Some callback ->
-                Array.iter
-                  (fun txn -> callback txn (Execution.response t.execution txn))
-                  block.txns);
+                Block.iter_txns block (fun txn ->
+                    callback txn (Execution.response t.execution txn)));
             drain t
         | None -> () (* block still being fetched; resume on arrival *)
       end
@@ -146,12 +145,12 @@ let create ~me ~config ~keychain ~engine ~net ?params ?obs
 
 let start t = Sailfish.start (consensus t)
 
-let census t =
+let census ?charge t =
   (("mempool", Mempool.approx_live_words t.mempool)
   :: (match t.persist with
      | Some p -> [ ("wal", Persist.approx_live_words p) ]
      | None -> []))
-  @ Sailfish.census (consensus t)
+  @ Sailfish.census ?charge (consensus t)
 
 (* ------------------------------------------------------------------ *)
 (* Crash recovery *)

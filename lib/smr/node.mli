@@ -28,16 +28,18 @@ val create :
   ?obs:Clanbft_obs.Obs.t ->
   ?max_block_txns:int ->
   ?persist:Persist.t ->
-  ?generate:(round:int -> Transaction.t array) ->
+  ?generate:(round:int -> bytes) ->
   ?on_commit:(leader:Vertex.t -> Vertex.t list -> unit) ->
   ?on_txn_executed:(Transaction.t -> Digest32.t -> unit) ->
   unit ->
   t
 (** [generate] overrides the mempool as the proposal source (synthetic
     workloads stamp transactions at proposal time, like §7's load
-    generator). [max_block_txns] caps a proposal (default 6000, the paper's
-    maximum). [on_commit] observes the raw a_deliver stream;
-    [on_txn_executed] observes execution receipts (clan members only).
+    generator): it returns a {!Block.new_record} with its transaction
+    headers written in place, which the consensus layer seals.
+    [max_block_txns] caps a proposal (default 6000, the paper's maximum).
+    [on_commit] observes the raw a_deliver stream; [on_txn_executed]
+    observes execution receipts (clan members only).
     [obs] is forwarded to {!Clanbft_consensus.Sailfish.create}. *)
 
 val start : t -> unit
@@ -81,8 +83,8 @@ val executed_txns : t -> int
 val exec_backlog : t -> int
 (** Committed vertices whose blocks have not yet executed locally. *)
 
-val census : t -> (string * int) list
+val census : ?charge:(Block.t -> int) -> t -> (string * int) list
 (** Heap-census rows for this node: mempool, WAL (when persistence is on)
     and the consensus layer's subsystems (see
-    {!Clanbft_consensus.Sailfish.census}). Approximate live words per
-    subsystem; see docs/PROFILING.md. *)
+    {!Clanbft_consensus.Sailfish.census}, which [charge] is passed to).
+    Approximate live words per subsystem; see docs/PROFILING.md. *)

@@ -214,8 +214,10 @@ let run spec =
   let warmup_end = spec.warmup in
   let sim_count = max 1 (spec.txns_per_proposal / spec.txn_scale) in
   let effective = if spec.txns_per_proposal = 0 then 0 else sim_count * spec.txn_scale in
+  (* Headers are written straight into the block's record: no
+     per-transaction value is ever allocated on this path. *)
   let generate proposer ~round =
-    if spec.txns_per_proposal = 0 then [||]
+    if spec.txns_per_proposal = 0 then Block.new_record 0
     else begin
       let now = Engine.now engine in
       Hashtbl.replace metas (proposer, round)
@@ -226,10 +228,13 @@ let run spec =
           req_commits = 0;
           done_ = false;
         };
-      Array.init sim_count (fun _ ->
-          incr next_txn;
-          Transaction.make ~id:!next_txn ~client:proposer ~created_at:now
-            ~size:(spec.txn_size * spec.txn_scale) ())
+      let record = Block.new_record sim_count in
+      for i = 0 to sim_count - 1 do
+        incr next_txn;
+        Block.set_header record i ~id:!next_txn ~client:proposer
+          ~created_at:now ~size:(spec.txn_size * spec.txn_scale)
+      done;
+      record
     end
   in
   let prefix_hash = Array.init spec.n (fun _ -> Intvec.create ()) in
@@ -369,16 +374,19 @@ let run spec =
       honest_vecs
   in
   (* End-of-run heap census: per-subsystem live words summed across
-     replicas, plus the shared engine/net/trace state. Every contribution
-     is a deterministic function of end-of-run data structures, so the
-     table is byte-identical across same-seed runs. *)
+     replicas, plus the shared engine/net/trace state. A block reaches
+     every replica as one shared value, so [consensus.blocks] charges each
+     physically distinct block once. Every contribution is a deterministic
+     function of end-of-run data structures, so the table is
+     byte-identical across same-seed runs. *)
   let census =
     let tbl = Hashtbl.create 16 in
     let bump (name, w) =
       Hashtbl.replace tbl name
         (w + Option.value ~default:0 (Hashtbl.find_opt tbl name))
     in
-    Array.iter (fun node -> List.iter bump (Node.census node)) nodes;
+    let charge = Block.charge_once () in
+    Array.iter (fun node -> List.iter bump (Node.census ~charge node)) nodes;
     bump ("sim.engine", Engine.approx_live_words engine);
     bump ("sim.net", Net.approx_live_words net);
     bump ("obs.trace", Clanbft_obs.Trace.approx_live_words obs.Obs.trace);

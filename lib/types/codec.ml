@@ -162,34 +162,29 @@ let write_txn b (t : Transaction.t) =
   W.u32 b t.size;
   W.raw b (String.make t.size '\x00')
 
-(* The 24-byte transaction header; its [size] field is the declared
-   payload length, whether or not zero padding follows it. *)
-let read_txn_header r =
-  let id = R.i64 r in
-  let client = R.u32 r in
-  let created_at = R.i64 r in
-  let size = R.u32 r in
-  Transaction.make ~id ~client ~created_at ~size ()
-
-let read_txn r =
-  let t = read_txn_header r in
-  R.skip r t.size;
-  t
-
 let write_block b (blk : Block.t) =
   W.u32 b blk.proposer;
   W.u32 b blk.round;
-  W.u32 b (Array.length blk.txns);
-  Array.iter (write_txn b) blk.txns
+  W.u32 b (Block.txn_count blk);
+  Block.iter_txns blk (write_txn b)
 
-let read_block_with read_txn r =
+(* Each transaction header is written straight into the block's record;
+   the zero payload padding that follows it on the wire is skipped. *)
+let read_block r =
   let proposer = R.u32 r in
   let round = R.u32 r in
   let count = R.u32 r in
-  let txns = Array.init count (fun _ -> read_txn r) in
-  Block.make ~proposer ~round ~txns
-
-let read_block = read_block_with read_txn
+  R.need r (count * Block.txn_bytes);
+  let buf = Block.new_record count in
+  for i = 0 to count - 1 do
+    let id = R.i64 r in
+    let client = R.u32 r in
+    let created_at = R.i64 r in
+    let size = R.u32 r in
+    Block.set_header buf i ~id ~client ~created_at ~size;
+    R.skip r size
+  done;
+  Block.seal ~proposer ~round buf
 
 let write_vref b (v : Vertex.vref) =
   W.u32 b v.round;
@@ -464,40 +459,9 @@ let decode_vertex ~n ?(compact = false) s =
       R.eof r;
       v)
 
-(* Store form of a block: the wire layout without payload padding. The
-   payload is modelled, never held, and each header's [size] already
-   records its length, so the record is [12 + 24 * txns] bytes, written in
-   place into one buffer of that exact length. *)
-let block_header_bytes = 12
-let txn_header_bytes = 24
-
-let encode_block (blk : Block.t) =
-  Prof.span sec_encode (fun () ->
-      let buf =
-        Bytes.create
-          (block_header_bytes + (txn_header_bytes * Array.length blk.txns))
-      in
-      let u32 pos v =
-        if v < 0 then invalid_arg "Codec: negative u32";
-        Bytes.set_int32_be buf pos (Int32.of_int v)
-      in
-      let i64 pos v = Bytes.set_int64_be buf pos (Int64.of_int v) in
-      u32 0 blk.proposer;
-      u32 4 blk.round;
-      u32 8 (Array.length blk.txns);
-      Array.iteri
-        (fun i (t : Transaction.t) ->
-          let pos = block_header_bytes + (i * txn_header_bytes) in
-          i64 pos t.id;
-          u32 (pos + 8) t.client;
-          i64 (pos + 12) t.created_at;
-          u32 (pos + 20) t.size)
-        blk.txns;
-      Bytes.unsafe_to_string buf)
+(* Store form of a block: its record, shared rather than copied. *)
+let encode_block (blk : Block.t) = Prof.span sec_encode (fun () -> blk.record)
 
 let decode_block s =
   Prof.span sec_decode (fun () ->
-      let r = R.create s in
-      let blk = read_block_with read_txn_header r in
-      R.eof r;
-      blk)
+      try Block.of_record s with Invalid_argument msg -> fail "%s" msg)

@@ -34,14 +34,17 @@ val encode_vertex : n:int -> Vertex.t -> string
 val decode_vertex : n:int -> ?compact:bool -> string -> Vertex.t
 
 val encode_block : Block.t -> string
-(** The store form of a block: its 12-byte header and each transaction's
-    24-byte header, whose [size] field carries the declared payload
-    length, with no payload padding — [12 + 24 * txns] bytes. A block's
-    modelled size is still {!Block.wire_size}; the store charges that to
-    its disk (see [Persist.wal_append ~size]). Blocks inside {!encode}d
-    messages keep the padded wire form, so
+(** The store form of a block: its [record] string itself, shared with
+    the block rather than copied — the 12-byte block header and each
+    transaction's 24-byte header, whose [size] field carries the declared
+    payload length, with no payload padding: [12 + 24 * txns] bytes. A
+    block's modelled size is still {!Block.wire_size}; the store charges
+    that to its disk (see [Persist.wal_append ~size]). Blocks inside
+    {!encode}d messages keep the padded wire form, so
     [String.length (encode ~n m) = Msg.wire_size ~n m] is unchanged. *)
 
 val decode_block : string -> Block.t
-(** Inverse of {!encode_block}: same digest, same transaction headers
-    (sizes included). Raises {!Decode_error} on malformed input. *)
+(** Inverse of {!encode_block}: checks that the length matches the
+    header's transaction count, then wraps the string without copying it
+    ({!Block.of_record}) — same digest, same transaction headers. Raises
+    {!Decode_error} on a short record or a length/count mismatch. *)

@@ -39,10 +39,13 @@ let make_world ?(n = 7) ?(one_way_ms = 10.) ?(net_config = { Net.default_config 
           Some
             (Sailfish.create ~me ~config ~keychain ~engine ~net ?params
                ~make_block:(fun ~round:_ ->
-                 Array.init load (fun _ ->
-                     incr next;
-                     Transaction.make ~id:!next ~client:me
-                       ~created_at:(Engine.now engine) ~size:256 ()))
+                 let record = Block.new_record load in
+                 for i = 0 to load - 1 do
+                   incr next;
+                   Block.set_header record i ~id:!next ~client:me
+                     ~created_at:(Engine.now engine) ~size:256
+                 done;
+                 record)
                ~on_commit:(fun ~leader:_ vs ->
                  List.iter
                    (fun (v : Vertex.t) ->
@@ -344,6 +347,50 @@ let test_census_matches_heap () =
         (abs (estimated - measured) * 50 <= measured))
     [ ("benign", []); ("two crashed", [ 1; 2 ]) ]
 
+(* One proposal reaches every replica as one shared block value, so a
+   census across replicas charges each block once: the row equals the
+   words reachable from every replica's stored blocks taken as one root
+   (less the 3-word cells of the list that gathers them), within 2%. *)
+let test_census_blocks_charged_once () =
+  let n = 16 in
+  let w = make_world ~n ~load:20 Config.Full in
+  start w;
+  Engine.run ~until:(Time.s 2.) w.engine;
+  let replicas = List.init n (node w) in
+  let charge = Block.charge_once () in
+  let row =
+    List.fold_left
+      (fun acc s -> acc + List.assoc "consensus.blocks" (Sailfish.census ~charge s))
+      0 replicas
+  in
+  let per_replica =
+    List.fold_left
+      (fun acc s -> acc + List.assoc "consensus.blocks" (Sailfish.census s))
+      0 replicas
+  in
+  let blocks =
+    List.concat_map
+      (fun s ->
+        List.concat
+          (List.init (Sailfish.current_round s + 10) (fun round ->
+               List.filter_map
+                 (fun source -> Sailfish.block_of s ~round ~source)
+                 (List.init n Fun.id))))
+      replicas
+  in
+  let measured =
+    Obj.reachable_words (Obj.repr blocks) - (3 * List.length blocks)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "census %d vs runtime %d words" row measured)
+    true
+    (abs (row - measured) * 50 <= measured);
+  Alcotest.(check bool)
+    (Printf.sprintf "per-replica sum %d counts shared blocks %d times over"
+       per_replica n)
+    true
+    (per_replica > (n - 1) * row)
+
 let test_single_clan_traffic_asymmetry () =
   (* Outsiders receive vertices but never payloads: their ingress must be
      well below a clan member's. *)
@@ -454,6 +501,8 @@ let suites =
       [
         Alcotest.test_case "GC bounds memory" `Slow test_gc_bounds_memory;
         Alcotest.test_case "census matches heap" `Slow test_census_matches_heap;
+        Alcotest.test_case "census charges shared blocks once" `Slow
+          test_census_blocks_charged_once;
         Alcotest.test_case "single-clan traffic asymmetry" `Slow
           test_single_clan_traffic_asymmetry;
       ] );

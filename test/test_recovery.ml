@@ -82,8 +82,8 @@ let test_wal_block_record_size () =
       Alcotest.(check bool) "digest preserved" true
         (Digest32.equal (Block.digest b) (Block.digest b'));
       Alcotest.(check (array int)) "declared sizes preserved"
-        (Array.map (fun (t : Transaction.t) -> t.size) b.txns)
-        (Array.map (fun (t : Transaction.t) -> t.size) b'.txns)
+        (Array.init 200 (fun i -> (Block.txn b i).size))
+        (Array.init 200 (fun i -> (Block.txn b' i).size))
   | l -> Alcotest.failf "expected one durable record, got %d" (List.length l)
 
 (* ------------------------------------------------------------------ *)
@@ -157,11 +157,11 @@ let test_mempool_fifo_chunked () =
   done;
   let out = ref [] in
   let rec drain () =
-    match Mempool.take m ~max:7 with
-    | [||] -> ()
-    | batch ->
-        Array.iter (fun (t : Transaction.t) -> out := t.id :: !out) batch;
-        drain ()
+    let batch = Block.seal ~proposer:0 ~round:0 (Mempool.take m ~max:7) in
+    if Block.txn_count batch > 0 then begin
+      Block.iter_txns batch (fun t -> out := t.id :: !out);
+      drain ()
+    end
   in
   drain ();
   Alcotest.(check (list int)) "global fifo order" (List.init 100 (fun i -> i + 1))

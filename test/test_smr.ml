@@ -10,15 +10,32 @@ let qtest = QCheck_alcotest.to_alcotest
 
 let mk_txn id = Transaction.make ~id ~client:0 ~created_at:0 ()
 
+(* The transaction ids a [Mempool.take] record carries, in order. *)
+let take_ids m ~max =
+  let b = Block.seal ~proposer:0 ~round:0 (Mempool.take m ~max) in
+  List.init (Block.txn_count b) (fun i -> (Block.txn b i).id)
+
 let test_mempool_fifo () =
   let m = Mempool.create () in
   List.iter (fun i -> ignore (Mempool.submit m (mk_txn i))) [ 1; 2; 3; 4 ];
-  let batch = Mempool.take m ~max:3 in
-  Alcotest.(check (list int)) "fifo order" [ 1; 2; 3 ]
-    (Array.to_list (Array.map (fun (t : Transaction.t) -> t.id) batch));
+  Alcotest.(check (list int)) "fifo order" [ 1; 2; 3 ] (take_ids m ~max:3);
   Alcotest.(check int) "remaining" 1 (Mempool.pending m);
-  Alcotest.(check int) "take rest" 1 (Array.length (Mempool.take m ~max:10));
-  Alcotest.(check int) "empty take" 0 (Array.length (Mempool.take m ~max:10))
+  Alcotest.(check (list int)) "take rest" [ 4 ] (take_ids m ~max:10);
+  Alcotest.(check (list int)) "empty take" [] (take_ids m ~max:10)
+
+(* The census formula is the pool's exact heap footprint. *)
+let test_mempool_live_words () =
+  List.iter
+    (fun pending ->
+      let m = Mempool.create () in
+      for i = 1 to pending do
+        ignore (Mempool.submit m (mk_txn i))
+      done;
+      Alcotest.(check int)
+        (Printf.sprintf "%d pending" pending)
+        (Obj.reachable_words (Obj.repr m))
+        (Mempool.approx_live_words m))
+    [ 0; 1; 10; 1000 ]
 
 let test_mempool_capacity () =
   let m = Mempool.create ~capacity:2 () in
@@ -416,6 +433,7 @@ let suites =
       [
         Alcotest.test_case "fifo" `Quick test_mempool_fifo;
         Alcotest.test_case "capacity" `Quick test_mempool_capacity;
+        Alcotest.test_case "census is exact" `Quick test_mempool_live_words;
       ] );
     ( "smr.execution",
       [

@@ -112,8 +112,74 @@ let test_block_wire_size () =
   Alcotest.(check int) "wire" (12 + (3 * 536)) (Block.wire_size b);
   Alcotest.(check int) "txn count" 3 (Block.txn_count b)
 
+(* The digest formula from before blocks were packed records, kept as the
+   reference the record's streamed digest must reproduce byte for byte. *)
+let reference_digest ~proposer ~round (txns : Transaction.t array) =
+  let buf = Bytes.create (16 + (Array.length txns * 16)) in
+  let put64 pos v =
+    for byte = 0 to 7 do
+      Bytes.set buf (pos + byte) (Char.chr ((v lsr (8 * byte)) land 0xff))
+    done
+  in
+  put64 0 proposer;
+  put64 8 round;
+  Array.iteri
+    (fun i (t : Transaction.t) ->
+      put64 (16 + (i * 16)) t.id;
+      put64 (24 + (i * 16)) ((t.client lsl 24) lxor t.size))
+    txns;
+  Digest32.hash_string (Bytes.to_string buf)
+
+(* Random headers over each field's full range; up to 300 transactions,
+   so the digest's 64-transaction chunks fill, spill and end part-full. *)
+let gen_block_fields =
+  QCheck.Gen.(
+    let u32 = int_range 0 0xffff_ffff in
+    let txn =
+      map
+        (fun (id, client, created_at, size) ->
+          Transaction.make ~id ~client ~created_at ~size ())
+        (quad (int_range 0 max_int) u32 int (int_range 0 0xff_ffff))
+    in
+    triple u32 u32 (map Array.of_list (list_size (int_range 0 300) txn)))
+
+let arb_block_fields =
+  QCheck.make
+    ~print:(fun (p, r, txns) ->
+      Printf.sprintf "proposer %d round %d, %d txns" p r (Array.length txns))
+    gen_block_fields
+
+let prop_block_digest_reference =
+  QCheck.Test.make ~name:"digest equals the reference formula" ~count:200
+    arb_block_fields (fun (proposer, round, txns) ->
+      Digest32.equal
+        (Block.digest (Block.make ~proposer ~round ~txns))
+        (reference_digest ~proposer ~round txns))
+
+(* A block built through the header writer allocates its record outside
+   the minor heap once it is large, and nothing else grows with it: no
+   transaction values and no preimage buffer. *)
+let test_block_build_minor_words () =
+  let build count =
+    let before = Gc.minor_words () in
+    let record = Block.new_record count in
+    for i = 0 to count - 1 do
+      Block.set_header record i ~id:i ~client:3 ~created_at:i ~size:512
+    done;
+    let b = Block.seal ~proposer:1 ~round:2 record in
+    let words = Gc.minor_words () -. before in
+    ignore (Sys.opaque_identity b);
+    words
+  in
+  ignore (build 10);
+  let small = build 10 and large = build 12_000 in
+  Alcotest.(check bool)
+    (Printf.sprintf "12000 txns: %.0f minor words, 10 txns: %.0f" large small)
+    true (large <= small)
+
 (* The census formula counts exactly what the block holds on the heap:
-   payload bytes are modelled, so a 512 B transaction costs five words. *)
+   payload bytes are modelled, so a transaction costs its 24 record
+   bytes. *)
 let test_block_live_words () =
   List.iter
     (fun count ->
@@ -125,7 +191,7 @@ let test_block_live_words () =
         (Printf.sprintf "%d txns" count)
         (Obj.reachable_words (Obj.repr b))
         (Block.approx_live_words b))
-    [ 1; 3; 200 ]
+    [ 0; 1; 3; 200; 12_000 ]
 
 (* ------------------------------------------------------------------ *)
 (* Vertices *)
@@ -351,6 +417,41 @@ let prop_codec_block_roundtrip =
       Digest32.equal (Block.digest b) (Block.digest b')
       && String.length (Codec.encode_block b) = Block.wire_size b - payload)
 
+(* The store form is the block's own record, and decoding wraps it: the
+   WAL and every replica share one string. *)
+let prop_codec_block_headers =
+  QCheck.Test.make ~name:"store form keeps digest and headers" ~count:100
+    arb_block_fields (fun (proposer, round, txns) ->
+      let b = Block.make ~proposer ~round ~txns in
+      let s = Codec.encode_block b in
+      let b' = Codec.decode_block s in
+      s == b.record && b'.record == s
+      && Digest32.equal (Block.digest b) (Block.digest b')
+      && b'.proposer = proposer && b'.round = round
+      && Block.wire_size b' = Block.wire_size b
+      && List.init (Block.txn_count b') (Block.txn b') = Array.to_list txns)
+
+let test_codec_block_rejects () =
+  let s = Codec.encode_block sample_block in
+  let rejected label bad =
+    Alcotest.(check bool) label true
+      (match Codec.decode_block bad with
+      | _ -> false
+      | exception Codec.Decode_error _ -> true)
+  in
+  let recount delta =
+    let b = Bytes.of_string s in
+    Bytes.set_int32_be b 8 (Int32.of_int (Block.txn_count sample_block + delta));
+    Bytes.to_string b
+  in
+  rejected "short header" (String.sub s 0 (Block.header_bytes - 1));
+  rejected "truncated transaction" (String.sub s 0 (String.length s - 1));
+  rejected "trailing byte" (s ^ "\x00");
+  rejected "one whole transaction missing"
+    (String.sub s 0 (String.length s - Block.txn_bytes));
+  rejected "count too high" (recount 1);
+  rejected "count too low" (recount (-1))
+
 let suites =
   [
     ( "types.config",
@@ -368,6 +469,9 @@ let suites =
         Alcotest.test_case "digest binding" `Quick test_block_digest_binding;
         Alcotest.test_case "block wire size" `Quick test_block_wire_size;
         Alcotest.test_case "block live words" `Quick test_block_live_words;
+        Alcotest.test_case "build allocates no per-txn minor words" `Quick
+          test_block_build_minor_words;
+        qtest prop_block_digest_reference;
       ] );
     ( "types.vertex",
       [
@@ -392,5 +496,7 @@ let suites =
         Alcotest.test_case "compact VAL roundtrip" `Quick test_codec_compact_val_roundtrip;
         Alcotest.test_case "vertex/block standalone" `Quick test_vertex_block_codec_roundtrip;
         qtest prop_codec_block_roundtrip;
+        qtest prop_codec_block_headers;
+        Alcotest.test_case "bad block records rejected" `Quick test_codec_block_rejects;
       ] );
   ]
