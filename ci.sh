@@ -73,9 +73,10 @@ echo "== n=50 scale smoke (sailfish, 2 s sim, 90 s wall budget) =="
 # The batched fan-out keeps large-committee runs affordable: a 50-node
 # sailfish run processes ~2.6M events in a few seconds. Budget is explicit
 # wall-clock — blowing it means the fast path regressed, not just noise.
+# Run profiled for the heap census, whose rows are deterministic per seed.
 smoke_dir=$(mktemp -d)
 if ! timeout 90 dune exec bin/clanbft_cli.exe -- sim -n 50 -p full --load 200 \
-  --duration 2 --warmup 0.5 --seed 7 >"$smoke_dir/n50" 2>/dev/null; then
+  --duration 2 --warmup 0.5 --seed 7 --profile >"$smoke_dir/n50" 2>/dev/null; then
   echo "n=50 smoke failed or exceeded its 90 s wall-clock budget"
   exit 1
 fi
@@ -94,7 +95,15 @@ if [ "$n50_txns" != "56800" ] || [ "$n50_fp" != "-2064807531813105959" ]; then
   cat "$smoke_dir/n50"
   exit 1
 fi
-echo "n=50 committed $n50_txns txns within budget"
+# Pinned: settled slots drop their vote state and the ordered/covered
+# sets live in per-round bitsets; state kept alive again moves this row.
+n50_state=$(awk '$1 == "consensus.state" { print $2 }' "$smoke_dir/n50")
+if [ "$n50_state" != "836409" ]; then
+  echo "n=50 consensus.state census drifted: $n50_state words (pinned 836409)"
+  cat "$smoke_dir/n50"
+  exit 1
+fi
+echo "n=50 committed $n50_txns txns within budget, consensus.state $n50_state words"
 rm -rf "$smoke_dir"
 
 echo "== multi-clan large-block smoke (n=16, q=2, 6000 txns per proposal) =="

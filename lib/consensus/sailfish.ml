@@ -62,6 +62,7 @@ type slot = {
   mutable cert_sent : bool;
   mutable delivered : bool; (* RBC-delivered: a valid cert seen/formed *)
   mutable agreed : Digest32.t option; (* the certified vertex digest *)
+  (* Both are dropped once the slot settles: see [settle]. *)
   mutable votes : votes option; (* the first digest echoed *)
   mutable rival_votes : votes list; (* further digests: an equivocator *)
   mutable fetching_vertex : bool;
@@ -129,11 +130,12 @@ type t = {
   leader_votes : (int, Bitset.t) Hashtbl.t; (* round -> voters for its leader *)
   commit_ready : (int, unit) Hashtbl.t; (* direct quorum reached *)
   mutable last_committed : int;
-  ordered : (int * int, unit) Hashtbl.t;
+  ordered : (int, Bitset.t) Hashtbl.t; (* round -> sources ordered *)
   mutable ordered_total : int;
   mutable ordered_hash : int; (* chained fingerprint of the total order *)
   (* weak-edge bookkeeping *)
-  covered : (int * int, unit) Hashtbl.t; (* causal history of my proposals *)
+  covered : (int, Bitset.t) Hashtbl.t; (* causal history of my proposals *)
+  (* A table, not a bitset: its fold order feeds weak-edge selection. *)
   uncovered : (int * int, Vertex.t) Hashtbl.t;
 }
 
@@ -249,6 +251,33 @@ let votes_of t slot digest =
           | None -> slot.votes <- Some v
           | Some _ -> slot.rival_votes <- v :: slot.rival_votes);
           v)
+
+(* A slot settles once this node has sent its certificate and holds the
+   vertex. Its vote state then has no reader left: [on_echo] returns on
+   [cert_sent] before touching it, [on_echo_cert] on [delivered], and
+   [fetch_vertex] runs only while the vertex is missing. Dropping it leaves
+   a settled slot a few words instead of a signer set, tag and signing
+   string per digest — n² slots per round at every replica. *)
+let settle slot =
+  if slot.cert_sent && slot.vertex <> None then begin
+    slot.votes <- None;
+    slot.rival_votes <- []
+  end
+
+(* Per-round member sets, as [leader_votes]: [round_set] makes the round's
+   set on first use; [round_mem] allocates nothing. *)
+let round_set t tbl round =
+  match Hashtbl.find tbl round with
+  | b -> b
+  | exception Not_found ->
+      let b = Bitset.create (Config.n t.config) in
+      Hashtbl.replace tbl round b;
+      b
+
+let round_mem tbl ~round ~source =
+  match Hashtbl.find tbl round with
+  | b -> Bitset.mem b source
+  | exception Not_found -> false
 
 (* Pull rate limit: may [src] be served this slot once more? *)
 let take_pull t slot src =
@@ -569,7 +598,8 @@ and on_echo t ~round ~source ~digest ~signer ~signature =
                    agg = Keychain.Acc.to_aggregate v.acc;
                    clan_echoes = v.clan_votes;
                  });
-          certified t slot digest
+          certified t slot digest;
+          settle slot
         end
       end
     end
@@ -620,6 +650,7 @@ and certified t slot digest =
 and vertex_available t slot (v : Vertex.t) =
   (* Called once the slot is delivered AND the content is at hand. *)
   if slot.delivered then begin
+    settle slot;
     (match slot.block with
     | Some b when expects_block v -> block_available t slot b
     | _ -> ());
@@ -657,7 +688,7 @@ and insert t (v : Vertex.t) =
   if Trace.enabled t.obsh.o_trace then
     Trace.emit t.obsh.o_trace ~ts:(Engine.now t.engine)
       (Trace.Vertex_deliver { node = t.me; round = v.round; source = v.source });
-  if not (Hashtbl.mem t.covered (v.round, v.source)) then
+  if not (round_mem t.covered ~round:v.round ~source:v.source) then
     Hashtbl.replace t.uncovered (v.round, v.source) v;
   (* Wake only the children buffered on this slot. A woken child may still
      miss other parents (its waiter entries on those slots remain), so it
@@ -961,14 +992,7 @@ and register_vote t (v : Vertex.t) =
     let prev = v.round - 1 in
     let lead = leader_of t prev in
     if Vertex.has_strong_edge_to v ~round:prev ~source:lead then begin
-      let votes =
-        match Hashtbl.find_opt t.leader_votes prev with
-        | Some b -> b
-        | None ->
-            let b = Bitset.create (Config.n t.config) in
-            Hashtbl.replace t.leader_votes prev b;
-            b
-      in
+      let votes = round_set t t.leader_votes prev in
       if Bitset.add votes v.source then
         if Bitset.cardinal votes >= quorum t then begin
           if not (Hashtbl.mem t.commit_ready prev) then begin
@@ -1019,12 +1043,11 @@ and try_commit t =
       List.iter
         (fun (l : Vertex.t) ->
           let history =
-            Store.causal_history t.store l ~skip:(fun ~round ~source ->
-                Hashtbl.mem t.ordered (round, source))
+            Store.causal_history t.store l ~skip:(round_mem t.ordered)
           in
           List.iter
             (fun (v : Vertex.t) ->
-              Hashtbl.replace t.ordered (v.round, v.source) ();
+              ignore (Bitset.add (round_set t t.ordered v.round) v.source);
               t.ordered_hash <-
                 mix_commit t.ordered_hash ~round:v.round ~source:v.source;
               if Trace.enabled t.obsh.o_trace then
@@ -1061,8 +1084,6 @@ and garbage_collect t =
       in
       List.iter (Hashtbl.remove tbl) doomed
     in
-    drop_below t.ordered;
-    drop_below t.covered;
     drop_below t.uncovered;
     drop_below t.blocks;
     drop_below t.pending;
@@ -1074,6 +1095,8 @@ and garbage_collect t =
       List.iter (Hashtbl.remove tbl) doomed
     in
     drop_rounds t.slots;
+    drop_rounds t.ordered;
+    drop_rounds t.covered;
     drop_rounds t.leader_votes;
     drop_rounds t.commit_ready;
     drop_rounds t.timeout_shares;
@@ -1150,8 +1173,7 @@ and maybe_propose t =
    it never needs a weak edge from me again. Amortised O(1) per vertex. *)
 and mark_covered t refs =
   let rec visit (r : Vertex.vref) =
-    if not (Hashtbl.mem t.covered (r.round, r.source)) then begin
-      Hashtbl.replace t.covered (r.round, r.source) ();
+    if Bitset.add (round_set t t.covered r.round) r.source then begin
       Hashtbl.remove t.uncovered (r.round, r.source);
       match Store.find_ref t.store r with
       | Some v ->
@@ -1395,6 +1417,15 @@ let start_recovery t =
 
 let block_of t ~round ~source = Hashtbl.find_opt t.blocks (round, source)
 let vertex_of t ~round ~source = Store.find t.store ~round ~source
+let dag t = t.store
+
+let vote_records t ~round ~source =
+  match Hashtbl.find_opt t.slots round with
+  | Some row -> (
+      match row.(source) with
+      | Some s -> List.length (Option.to_list s.votes @ s.rival_votes)
+      | None -> 0)
+  | None -> 0
 
 (* Heap census: this layer's retained state, split by subsystem.
    [consensus.state] is derived from the layout below, headers included,
@@ -1439,14 +1470,15 @@ let state_words t =
   (* a waiter list's keys are the tuples [pending] is keyed by *)
   let waiter_words _ l = pair_words + 2 + (3 * List.length !l) in
   let acc_words _ acc = Keychain.Acc.approx_live_words acc in
-  let cert_words _ (c : Cert.t) = 4 + Keychain.aggregate_live_words c.agg in
+  let bitset_words _ b = Bitset.approx_live_words b in
+  let cert_words _ c = Cert.approx_live_words c in
   table_words t.slots row_words
   + flat_table_words t.pending ~entry:pair_words
   + table_words t.waiters waiter_words
-  + flat_table_words t.ordered ~entry:pair_words
-  + flat_table_words t.covered ~entry:pair_words
+  + table_words t.ordered bitset_words
+  + table_words t.covered bitset_words
   + flat_table_words t.uncovered ~entry:pair_words
-  + table_words t.leader_votes (fun _ b -> Bitset.approx_live_words b)
+  + table_words t.leader_votes bitset_words
   + flat_table_words t.commit_ready ~entry:0
   + flat_table_words t.timeout_sent ~entry:0
   + flat_table_words t.sync_seen_rounds ~entry:0
@@ -1455,12 +1487,12 @@ let state_words t =
   + table_words t.tcs cert_words
   + table_words t.nvcs cert_words
 
-let census ?(charge = Block.approx_live_words) t =
+let census ?(charge = Block.approx_live_words) ?charge_vertex t =
   let block_words = Hashtbl.fold (fun _ b acc -> acc + charge b) t.blocks 0 in
   [
     ("consensus.blocks", block_words);
     ("consensus.state", state_words t);
-    ("dag.store", Store.approx_live_words t.store);
+    ("dag.store", Store.approx_live_words ?charge:charge_vertex t.store);
     ("keychain", Keychain.approx_live_words t.keychain);
   ]
 

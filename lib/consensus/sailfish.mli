@@ -162,13 +162,19 @@ val block_of : t -> round:int -> source:int -> Block.t option
 
 val dag_size : t -> int
 
-val census : ?charge:(Block.t -> int) -> t -> (string * int) list
+val census :
+  ?charge:(Block.t -> int) ->
+  ?charge_vertex:(Vertex.t -> int) ->
+  t ->
+  (string * int) list
 (** Heap-census rows for this node's consensus layer:
     [consensus.blocks], [consensus.state], [dag.store] and [keychain]
     approximate live words. [consensus.blocks] sums [charge] (default
-    {!Block.approx_live_words}) over the stored blocks; a census across
-    replicas passes one {!Block.charge_once} so blocks they share count
-    once. See docs/PROFILING.md. *)
+    {!Block.approx_live_words}) over the stored blocks, and [dag.store]
+    sums [charge_vertex] (default {!Vertex.approx_live_words}) over the
+    stored vertices. A census across replicas passes one
+    {!Block.charge_once} and one {!Vertex.charge_once}, so the blocks and
+    vertices they share count once. See docs/PROFILING.md. *)
 
 val census_parts : t -> Obj.t list * Obj.t list
 (** The heap values [consensus.state] charges — this node's slot, vote,
@@ -181,3 +187,11 @@ val census_parts : t -> Obj.t list * Obj.t list
     state. *)
 
 val vertex_of : t -> round:int -> source:int -> Vertex.t option
+
+val dag : t -> Clanbft_dag.Store.t
+(** This node's DAG store. For inspection: mutating it breaks the node. *)
+
+val vote_records : t -> round:int -> source:int -> int
+(** Per-digest echo-vote records the slot holds: one per digest echoed to
+    this node, and 0 once the slot has settled (certificate sent, vertex
+    held). *)

@@ -34,3 +34,14 @@ end
 
 module Tbl = Hashtbl.Make (Key)
 module Map = Map.Make (Key)
+
+let charge_once digest words () =
+  let seen = Tbl.create 64 in
+  fun x ->
+    let d = digest x in
+    let same = Option.value ~default:[] (Tbl.find_opt seen d) in
+    if List.memq x same then 0
+    else begin
+      Tbl.replace seen d (x :: same);
+      words x
+    end

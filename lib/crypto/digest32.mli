@@ -31,3 +31,9 @@ val pp : Format.formatter -> t -> unit
 
 module Tbl : Hashtbl.S with type key = t
 module Map : Map.S with type key = t
+
+val charge_once : ('a -> t) -> ('a -> int) -> unit -> 'a -> int
+(** [charge_once digest words ()] is a fresh heap-census charger: [words x]
+    the first time it meets a physically distinct [x], 0 after, with values
+    bucketed by [digest x]. Replicas of one simulation share block and
+    vertex values, so a census across them charges each value once. *)

@@ -202,23 +202,17 @@ let prune_below t ~round =
 
 let size t = t.size
 
-(* Heap census: slot arrays plus a flat per-vertex estimate (header, two
-   digests, edge arrays at one vref = ~9 words each, cached wire size).
-   Payload bytes live in the block store, not here. *)
-let approx_live_words t =
-  let words =
-    ref (Hashtbl.length t.rounds * (t.n + 8) + Hashtbl.length t.counts * 6)
+(* Heap census, headers included: this record, the two tables (record,
+   bucket array, one cell per entry), each round's slot array and count
+   cell, and per stored vertex its option box plus [charge]. *)
+let approx_live_words ?(charge = Vertex.approx_live_words) t =
+  let table tbl ~entry =
+    5 + (Hashtbl.stats tbl).num_buckets + 1 + ((4 + entry) * Hashtbl.length tbl)
   in
-  Hashtbl.iter
-    (fun _ a ->
-      Array.iter
-        (function
-          | Some (v : Vertex.t) ->
-              words :=
-                !words + 22
-                + (9 * Array.length v.strong_edges)
-                + (9 * Array.length v.weak_edges)
-          | None -> ())
-        a)
-    t.rounds;
-  !words
+  Hashtbl.fold
+    (fun _ a acc ->
+      Array.fold_left
+        (fun acc -> function Some v -> acc + 2 + charge v | None -> acc)
+        acc a)
+    t.rounds
+    (7 + table t.rounds ~entry:(t.n + 1) + table t.counts ~entry:2)

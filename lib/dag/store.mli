@@ -97,7 +97,8 @@ val prune_below : t -> round:int -> unit
 val size : t -> int
 (** Number of vertices currently stored. *)
 
-val approx_live_words : t -> int
-(** Heap-census hook: conservative word estimate of the slot arrays and
-    stored vertices (headers, digests, edge arrays — payloads are counted
-    by the owning block store). See docs/PROFILING.md. *)
+val approx_live_words : ?charge:(Vertex.t -> int) -> t -> int
+(** Heap-census hook: this store's tables, slot arrays and option boxes,
+    headers included, plus [charge] (default {!Vertex.approx_live_words})
+    per stored vertex. Replicas share vertex values, so a census across them
+    passes one {!Vertex.charge_once}. See docs/PROFILING.md. *)

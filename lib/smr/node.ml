@@ -145,12 +145,12 @@ let create ~me ~config ~keychain ~engine ~net ?params ?obs
 
 let start t = Sailfish.start (consensus t)
 
-let census ?charge t =
+let census ?charge ?charge_vertex t =
   (("mempool", Mempool.approx_live_words t.mempool)
   :: (match t.persist with
      | Some p -> [ ("wal", Persist.approx_live_words p) ]
      | None -> []))
-  @ Sailfish.census ?charge (consensus t)
+  @ Sailfish.census ?charge ?charge_vertex (consensus t)
 
 (* ------------------------------------------------------------------ *)
 (* Crash recovery *)

@@ -83,8 +83,13 @@ val executed_txns : t -> int
 val exec_backlog : t -> int
 (** Committed vertices whose blocks have not yet executed locally. *)
 
-val census : ?charge:(Block.t -> int) -> t -> (string * int) list
+val census :
+  ?charge:(Block.t -> int) ->
+  ?charge_vertex:(Vertex.t -> int) ->
+  t ->
+  (string * int) list
 (** Heap-census rows for this node: mempool, WAL (when persistence is on)
     and the consensus layer's subsystems (see
-    {!Clanbft_consensus.Sailfish.census}, which [charge] is passed to).
+    {!Clanbft_consensus.Sailfish.census}, which [charge] and
+    [charge_vertex] are passed to).
     Approximate live words per subsystem; see docs/PROFILING.md. *)

@@ -374,19 +374,22 @@ let run spec =
       honest_vecs
   in
   (* End-of-run heap census: per-subsystem live words summed across
-     replicas, plus the shared engine/net/trace state. A block reaches
-     every replica as one shared value, so [consensus.blocks] charges each
-     physically distinct block once. Every contribution is a deterministic
-     function of end-of-run data structures, so the table is
-     byte-identical across same-seed runs. *)
+     replicas, plus the shared engine/net/trace state. A block or vertex
+     reaches every replica as one shared value, so [consensus.blocks] and
+     [dag.store] charge each physically distinct one once. Every
+     contribution is a deterministic function of end-of-run data
+     structures, so the table is byte-identical across same-seed runs. *)
   let census =
     let tbl = Hashtbl.create 16 in
     let bump (name, w) =
       Hashtbl.replace tbl name
         (w + Option.value ~default:0 (Hashtbl.find_opt tbl name))
     in
-    let charge = Block.charge_once () in
-    Array.iter (fun node -> List.iter bump (Node.census ~charge node)) nodes;
+    let charge = Block.charge_once ()
+    and charge_vertex = Vertex.charge_once () in
+    Array.iter
+      (fun node -> List.iter bump (Node.census ~charge ~charge_vertex node))
+      nodes;
     bump ("sim.engine", Engine.approx_live_words engine);
     bump ("sim.net", Net.approx_live_words net);
     bump ("obs.trace", Clanbft_obs.Trace.approx_live_words obs.Obs.trace);

@@ -128,14 +128,7 @@ let approx_live_words t =
   6 + ((Digest32.size / 8) + 2) + ((String.length t.record / 8) + 2)
 
 let charge_once () =
-  let seen = Digest32.Tbl.create 1024 in
-  fun t ->
-    let same = Option.value ~default:[] (Digest32.Tbl.find_opt seen t.digest) in
-    if List.memq t same then 0
-    else begin
-      Digest32.Tbl.replace seen t.digest (t :: same);
-      approx_live_words t
-    end
+  Digest32.charge_once (fun t -> t.digest) approx_live_words ()
 
 let pp ppf t =
   Format.fprintf ppf "block(%d@r%d,%d txns,%a)" t.proposer t.round

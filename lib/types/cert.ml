@@ -21,6 +21,7 @@ let verify keychain ~quorum t =
   && Keychain.verify_aggregate keychain ~msg:(signing_string t.kind t.round) t.agg
 
 let signer_count t = Bitset.cardinal (Keychain.signers t.agg)
+let approx_live_words t = 4 + Keychain.aggregate_live_words t.agg
 let wire_size ~n = 5 + Keychain.signature_size + ((n + 7) / 8)
 
 let pp ppf t =

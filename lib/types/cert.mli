@@ -39,4 +39,7 @@ val signer_count : t -> int
 val wire_size : n:int -> int
 (** 5-byte header + κ + ⌈n/8⌉. *)
 
+val approx_live_words : t -> int
+(** Heap words, headers included: the record and its aggregate. *)
+
 val pp : Format.formatter -> t -> unit

@@ -143,6 +143,18 @@ let has_strong_edge_to t ~round ~source =
   round = t.round - 1
   && Array.exists (fun (e : vref) -> e.source = source) t.strong_edges
 
+(* Words, headers included: the 10-field record, the digest string (32
+   bytes plus the padding word), each non-empty edge array with its 3-field
+   references, and an option box per certificate. *)
+let approx_live_words t =
+  let edges a = if Array.length a = 0 then 0 else 1 + (5 * Array.length a) in
+  let cert = function None -> 0 | Some c -> 2 + Cert.approx_live_words c in
+  11 + ((Digest32.size / 8) + 2) + edges t.strong_edges + edges t.weak_edges
+  + cert t.nvc + cert t.tc
+
+let charge_once () =
+  Digest32.charge_once (fun t -> t.digest) approx_live_words ()
+
 let pp ppf t =
   Format.fprintf ppf "vertex(%d@r%d,%d strong,%d weak%s%s)" t.source t.round
     (Array.length t.strong_edges)

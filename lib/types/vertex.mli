@@ -77,6 +77,20 @@ val wire_size : n:int -> t -> int
 
 val has_strong_edge_to : t -> round:int -> source:int -> bool
 
+(** {1 Heap census} *)
+
+val approx_live_words : t -> int
+(** The words this vertex alone holds: the record, its digest, the edge
+    arrays with their references, and any certificates. The block digest
+    belongs to the block and each edge's digest to the parent it names, so
+    neither is counted. See docs/PROFILING.md. *)
+
+val charge_once : unit -> t -> int
+(** A fresh charger: {!approx_live_words} the first time it meets a
+    physically distinct vertex, 0 after. Replicas of one simulation share
+    vertex values, so a census over all their DAG stores charges each
+    vertex once. *)
+
 val pp : Format.formatter -> t -> unit
 
 (** Totally ordered (round, source) ids, for deterministic iteration. *)

@@ -170,30 +170,30 @@ let test_crashed_leader_vertices_skipped () =
   Alcotest.(check bool) "crashed node proposes nothing" true
     (Array.for_all (fun (_, source) -> source <> 1) seq)
 
+(* One of Byzantine node 0's conflicting round-0 proposals, each with its
+   own block: the vertex digest and the signed VAL. *)
+let equivocal_proposal w tag =
+  let txns =
+    Array.init 3 (fun i ->
+        Transaction.make ~id:(1000 + i + (100 * tag)) ~client:0 ~created_at:0 ())
+  in
+  let block = Block.make ~proposer:0 ~round:0 ~txns in
+  let vertex =
+    Vertex.make ~round:0 ~source:0 ~block_digest:(Block.digest block)
+      ~strong_edges:[||] ~weak_edges:[||] ()
+  in
+  let signature =
+    Keychain.sign w.keychain ~signer:0 (Msg.val_signing_string vertex)
+  in
+  (vertex.Vertex.digest, Msg.Val { vertex; block = Some block; signature })
+
 let test_equivocating_proposer () =
   (* Byzantine node 0 proposes two conflicting round-0 vertices, each with
      its own block, split across the honest parties. Safety: the slot can
      certify at most one digest; liveness: everyone else keeps going. *)
   let params = { Sailfish.default_params with round_timeout = Time.ms 200. } in
   let w = make_world ~byzantine:[ 0 ] ~params Config.Full in
-  let mk_proposal tag =
-    let txns =
-      Array.init 3 (fun i ->
-          Transaction.make ~id:(1000 + i + (100 * tag)) ~client:0 ~created_at:0 ())
-    in
-    let block = Block.make ~proposer:0 ~round:0 ~txns in
-    let vertex =
-      Vertex.make ~round:0 ~source:0 ~block_digest:(Block.digest block)
-        ~strong_edges:[||] ~weak_edges:[||] ()
-    in
-    let signature =
-      Keychain.sign w.keychain ~signer:0
-        (String.concat ""
-           [ "val|0|0|"; Digest32.to_raw vertex.Vertex.digest ])
-    in
-    Msg.Val { vertex; block = Some block; signature }
-  in
-  let v1 = mk_proposal 1 and v2 = mk_proposal 2 in
+  let v1 = snd (equivocal_proposal w 1) and v2 = snd (equivocal_proposal w 2) in
   start w;
   for dst = 1 to 6 do
     Net.send w.net ~src:0 ~dst (if dst <= 3 then v1 else v2)
@@ -213,6 +213,61 @@ let test_equivocating_proposer () =
   Alcotest.(check bool) "one certified version at most" true
     (List.length (List.sort_uniq compare digests) <= 1);
   Alcotest.(check bool) "liveness unaffected" true (min_committed w > 30)
+
+(* A settled slot (certificate sent, vertex held) keeps no echo-vote state,
+   and nothing brings it back. Byzantine node 0 splits two round-0 vertices
+   5/1, so node 6 echoes the loser, certifies the winner on the others'
+   echoes and fetches it. Once the run is quiet, a late echo for each
+   digest changes no honest node's state and sends nothing. *)
+let test_settled_slot_keeps_no_votes () =
+  let params =
+    { Sailfish.default_params with round_timeout = Time.ms 200.; gc_depth = 1_000_000 }
+  in
+  let w = make_world ~byzantine:[ 0 ] ~params Config.Full in
+  let (d1, v1), (d2, v2) = (equivocal_proposal w 1, equivocal_proposal w 2) in
+  start w;
+  for dst = 1 to 6 do
+    Net.send w.net ~src:0 ~dst (if dst <= 5 then v1 else v2)
+  done;
+  Engine.run ~until:(Time.s 1.) w.engine;
+  let honest = List.init 6 (fun i -> node w (i + 1)) in
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) "winner held" true
+        (match Sailfish.vertex_of s ~round:0 ~source:0 with
+        | Some v -> Digest32.equal v.Vertex.digest d1
+        | None -> false);
+      Alcotest.(check int) "settled slot holds no votes" 0
+        (Sailfish.vote_records s ~round:0 ~source:0))
+    honest;
+  (* Quiesce: from here on only round-0 echoes for node 0's slot move. *)
+  Net.set_filter w.net (fun ~src:_ ~dst:_ -> function
+    | Msg.Echo { round = 0; source = 0; _ } -> true
+    | _ -> false);
+  Engine.run ~until:(Time.s 3.) w.engine;
+  let state () =
+    List.map (fun s -> List.assoc "consensus.state" (Sailfish.census s)) honest
+  in
+  let before = state () in
+  List.iter
+    (fun digest ->
+      let signature =
+        Keychain.sign w.keychain ~signer:0
+          (Msg.echo_signing_string ~round:0 ~source:0 digest)
+      in
+      Net.broadcast w.net ~src:0
+        (Msg.Echo
+           { round = 0; source = 0; vertex_digest = digest; signer = 0; signature }))
+    [ d1; d2 ];
+  let sent = Net.total_messages w.net in
+  Engine.run ~until:(Time.s 4.) w.engine;
+  Alcotest.(check (list int)) "consensus.state unchanged" before (state ());
+  Alcotest.(check int) "no message in reply" sent (Net.total_messages w.net);
+  List.iter
+    (fun s ->
+      Alcotest.(check int) "still no votes" 0
+        (Sailfish.vote_records s ~round:0 ~source:0))
+    honest
 
 let test_partial_synchrony_recovery () =
   (* Heavy adversarial delays before GST at 2 s; the protocol must catch up
@@ -309,7 +364,17 @@ let test_gc_bounds_memory () =
   let params = { Sailfish.default_params with gc_depth = 8 } in
   let w = make_world ~params Config.Full in
   start w;
+  let state () = List.assoc "consensus.state" (Sailfish.census (node w 0)) in
+  Engine.run ~until:(Time.s 2.) w.engine;
+  let at_2s = state () in
   Engine.run ~until:(Time.s 4.) w.engine;
+  (* Every per-round table, the ordered and covered sets included, is
+     dropped by round: the state stays flat while rounds keep coming. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "consensus.state flat (%d words at 2 s, %d at 4 s)" at_2s
+       (state ()))
+    true
+    (state () * 5 <= at_2s * 6);
   (* DAG holds at most gc_depth + pipeline-slack rounds x 7 vertices. *)
   Alcotest.(check bool)
     (Printf.sprintf "dag size bounded (%d)" (Sailfish.dag_size (node w 0)))
@@ -390,6 +455,49 @@ let test_census_blocks_charged_once () =
        per_replica n)
     true
     (per_replica > (n - 1) * row)
+
+(* Vertices are shared the same way: [dag.store] summed across replicas
+   with one {!Vertex.charge_once} equals the words reachable from every
+   replica's store taken as one root, less the list cells and the block
+   digests the vertices point at (the blocks own those), within 2%. Charged
+   per replica instead, the row counts each vertex once per replica. *)
+let test_census_vertices_charged_once () =
+  let n = 16 in
+  let w = make_world ~n ~load:20 Config.Full in
+  start w;
+  Engine.run ~until:(Time.s 2.) w.engine;
+  let replicas = List.init n (node w) in
+  let row_with charge_vertex =
+    List.fold_left
+      (fun acc s ->
+        acc + List.assoc "dag.store" (Sailfish.census ?charge_vertex s))
+      0 replicas
+  in
+  let row = row_with (Some (Vertex.charge_once ())) in
+  let per_replica = row_with None in
+  let stores = List.map Sailfish.dag replicas in
+  let block_digests =
+    List.concat_map
+      (fun d ->
+        List.concat_map
+          (fun round ->
+            List.map
+              (fun (v : Vertex.t) -> v.block_digest)
+              (Dag_store.vertices_at d round))
+          (List.init (Dag_store.highest_round d + 1) Fun.id))
+      stores
+  in
+  let reachable l = Obj.reachable_words (Obj.repr l) - (3 * List.length l) in
+  let measured = reachable stores - reachable block_digests in
+  Alcotest.(check bool)
+    (Printf.sprintf "census %d vs runtime %d words" row measured)
+    true
+    (abs (row - measured) * 50 <= measured);
+  Alcotest.(check bool)
+    (Printf.sprintf "per-replica sum %d over-counts row %d more than 10x"
+       per_replica row)
+    true
+    (per_replica > 10 * row)
 
 let test_single_clan_traffic_asymmetry () =
   (* Outsiders receive vertices but never payloads: their ingress must be
@@ -491,6 +599,8 @@ let suites =
           (test_crash_faults (Config.Single_clan [| 0; 2; 4; 6 |]));
         Alcotest.test_case "crashed leader skipped" `Slow test_crashed_leader_vertices_skipped;
         Alcotest.test_case "equivocating proposer" `Slow test_equivocating_proposer;
+        Alcotest.test_case "settled slots keep no votes" `Slow
+          test_settled_slot_keeps_no_votes;
         Alcotest.test_case "partial synchrony recovery" `Slow test_partial_synchrony_recovery;
         Alcotest.test_case "Byzantine partial block dissemination" `Slow
           test_byzantine_partial_block_dissemination;
@@ -503,6 +613,8 @@ let suites =
         Alcotest.test_case "census matches heap" `Slow test_census_matches_heap;
         Alcotest.test_case "census charges shared blocks once" `Slow
           test_census_blocks_charged_once;
+        Alcotest.test_case "census charges shared vertices once" `Slow
+          test_census_vertices_charged_once;
         Alcotest.test_case "single-clan traffic asymmetry" `Slow
           test_single_clan_traffic_asymmetry;
       ] );
