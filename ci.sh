@@ -107,11 +107,13 @@ echo "n=50 committed $n50_txns txns within budget, consensus.state $n50_state wo
 rm -rf "$smoke_dir"
 
 echo "== multi-clan large-block smoke (n=16, q=2, 6000 txns per proposal) =="
-# Pinned: how a block holds its transactions may change its cost, never
-# its digest or the commit sequence.
+# Pinned: how a block holds its transactions, or how SHA-256 compresses,
+# may change its cost, never its digest or the commit sequence. Run
+# profiled so the number of digests taken is pinned too: hashing a block
+# twice (a re-seal on decode, say) moves it.
 smoke_dir=$(mktemp -d)
 dune exec bin/clanbft_cli.exe -- sim -n 16 -p multi-clan --clans 2 \
-  --load 6000 --duration 3 --warmup 1 --seed 7 >"$smoke_dir/mc" 2>/dev/null
+  --load 6000 --duration 3 --warmup 1 --seed 7 --profile >"$smoke_dir/mc" 2>/dev/null
 grep -q "agree=true" "$smoke_dir/mc" || {
   echo "agreement lost in the multi-clan run"
   cat "$smoke_dir/mc"
@@ -125,7 +127,13 @@ if [ "$mc_txns" != "552000" ] || [ "$mc_fp" != "-877030967115697687" ]; then
   cat "$smoke_dir/mc"
   exit 1
 fi
-echo "multi-clan committed $mc_txns txns, fingerprint $mc_fp"
+mc_sha=$(awk '$1 == "sha256" { print $2 }' "$smoke_dir/mc")
+if [ "$mc_sha" != "3200" ]; then
+  echo "multi-clan smoke drifted: $mc_sha sha256 digests (pinned 3200)"
+  cat "$smoke_dir/mc"
+  exit 1
+fi
+echo "multi-clan committed $mc_txns txns, fingerprint $mc_fp, $mc_sha digests"
 rm -rf "$smoke_dir"
 
 echo "== sparse smoke (n=16, k=3, same-seed double run) =="

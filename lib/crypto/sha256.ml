@@ -1,7 +1,21 @@
 (* Straightforward FIPS 180-4 implementation over native ints masked to 32
    bits. OCaml's native int is 63-bit, so 32-bit modular arithmetic is just
    [land 0xFFFFFFFF] after additions; logical ops need no masking because
-   operands stay within 32 bits. *)
+   operands stay within 32 bits.
+
+   Block compression has two implementations: [compress_block] below, and
+   the SHA-NI kernel in sha256_stubs.c, used when CPUID reports the x86
+   SHA extensions. Both compute the same function, so the digest never
+   depends on the path. *)
+
+external hw_available : unit -> bool = "clanbft_sha256_hw_available"
+[@@noalloc]
+
+external hw_compress : int array -> bytes -> int -> int -> unit
+  = "clanbft_sha256_hw_compress"
+[@@noalloc]
+
+let accelerated = hw_available ()
 
 let k =
   [|
@@ -101,9 +115,19 @@ let compress_block ctx src off =
   let h = ctx.h in
   rounds w h 0 h.(0) h.(1) h.(2) h.(3) h.(4) h.(5) h.(6) h.(7)
 
-let compress ctx = compress_block ctx ctx.block 0
+(* Compress [count] consecutive 64-byte blocks of [src] from [off], with the
+   kernel when [hw]. The path is an argument, not a context field, so a
+   context is the same size on either path and a run allocates the same. *)
+let compress_blocks hw ctx src off count =
+  if hw then hw_compress ctx.h src off count
+  else
+    for i = 0 to count - 1 do
+      compress_block ctx src (off + (64 * i))
+    done
 
-let feed_bytes ctx src ~pos ~len =
+let compress hw ctx = compress_blocks hw ctx ctx.block 0 1
+
+let feed hw ctx src ~pos ~len =
   if ctx.finalized then invalid_arg "Sha256: context already finalized";
   if pos < 0 || len < 0 || pos + len > Bytes.length src then
     invalid_arg "Sha256.feed_bytes: bad range";
@@ -117,18 +141,19 @@ let feed_bytes ctx src ~pos ~len =
     pos := !pos + chunk;
     remaining := !remaining - chunk;
     if ctx.block_len = 64 then begin
-      compress ctx;
+      compress hw ctx;
       ctx.block_len <- 0
     end
   end;
-  (* Bulk path: full blocks compress straight from the source, skipping the
-     copy through the 64-byte buffer. *)
+  (* Bulk path: full blocks compress straight from the source in one call,
+     skipping the copy through the 64-byte buffer. *)
   if ctx.block_len = 0 then begin
-    while !remaining >= 64 do
-      compress_block ctx src !pos;
-      pos := !pos + 64;
-      remaining := !remaining - 64
-    done;
+    let blocks = !remaining / 64 in
+    if blocks > 0 then begin
+      compress_blocks hw ctx src !pos blocks;
+      pos := !pos + (64 * blocks);
+      remaining := !remaining - (64 * blocks)
+    end;
     if !remaining > 0 then begin
       Bytes.blit src !pos ctx.block 0 !remaining;
       ctx.block_len <- !remaining;
@@ -136,10 +161,12 @@ let feed_bytes ctx src ~pos ~len =
     end
   end
 
+let feed_bytes ctx src ~pos ~len = feed accelerated ctx src ~pos ~len
+
 let feed_string ctx s =
   feed_bytes ctx (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)
 
-let finalize ctx =
+let finish hw ctx =
   if ctx.finalized then invalid_arg "Sha256: context already finalized";
   let bit_len = ctx.total_len * 8 in
   (* Padding: 0x80, zeros, then the 64-bit big-endian bit length. *)
@@ -164,7 +191,7 @@ let finalize ctx =
     pos := !pos + chunk;
     remaining := !remaining - chunk;
     if ctx.block_len = 64 then begin
-      compress ctx;
+      compress hw ctx;
       ctx.block_len <- 0
     end
   done;
@@ -180,14 +207,28 @@ let finalize ctx =
   done;
   Bytes.unsafe_to_string out
 
-let sec_digest = Clanbft_obs.Prof.section "sha256"
+let finalize ctx = finish accelerated ctx
 
-let digest_string s =
-  Clanbft_obs.Prof.enter sec_digest;
+let section = Clanbft_obs.Prof.section "sha256"
+
+let digest_with hw s =
+  Clanbft_obs.Prof.enter section;
   let ctx = init () in
-  feed_string ctx s;
-  let d = finalize ctx in
-  Clanbft_obs.Prof.leave sec_digest;
+  feed hw ctx (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s);
+  let d = finish hw ctx in
+  Clanbft_obs.Prof.leave section;
   d
+
+let digest_string s = digest_with accelerated s
+
+module Reference = struct
+  let feed_bytes ctx src ~pos ~len = feed false ctx src ~pos ~len
+
+  let feed_string ctx s =
+    feed_bytes ctx (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)
+
+  let finalize ctx = finish false ctx
+  let digest_string s = digest_with false s
+end
 
 let hex_of_string s = Clanbft_util.Hex.encode (digest_string s)

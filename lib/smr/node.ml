@@ -146,11 +146,20 @@ let create ~me ~config ~keychain ~engine ~net ?params ?obs
 let start t = Sailfish.start (consensus t)
 
 let census ?charge ?charge_vertex t =
-  (("mempool", Mempool.approx_live_words t.mempool)
-  :: (match t.persist with
-     | Some p -> [ ("wal", Persist.approx_live_words p) ]
-     | None -> []))
-  @ Sailfish.census ?charge ?charge_vertex (consensus t)
+  ("mempool", Mempool.approx_live_words t.mempool)
+  :: Sailfish.census ?charge ?charge_vertex (consensus t)
+
+(* A WAL block entry is the block's record string (see [on_block_internal]),
+   so it goes through the block charger, after every block table. *)
+let wal_census ~(charge : Block.charger) t =
+  match t.persist with
+  | None -> None
+  | Some p ->
+      Some
+        (Persist.approx_live_words p ~charge_data:(fun ~key data ->
+             if String.starts_with ~prefix:"wal/b/" key then
+               Some (charge.record data)
+             else None))
 
 (* ------------------------------------------------------------------ *)
 (* Crash recovery *)

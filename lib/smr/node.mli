@@ -88,8 +88,14 @@ val census :
   ?charge_vertex:(Vertex.t -> int) ->
   t ->
   (string * int) list
-(** Heap-census rows for this node: mempool, WAL (when persistence is on)
-    and the consensus layer's subsystems (see
-    {!Clanbft_consensus.Sailfish.census}, which [charge] and
-    [charge_vertex] are passed to).
+(** Heap-census rows for this node: mempool and the consensus layer's
+    subsystems (see {!Clanbft_consensus.Sailfish.census}, which [charge]
+    and [charge_vertex] are passed to).
     Approximate live words per subsystem; see docs/PROFILING.md. *)
+
+val wal_census : charge:Block.charger -> t -> int option
+(** The [wal] census row, when persistence is on. Block entries are the
+    blocks' record strings, charged through [charge.record]: pass the
+    charger whose [block] field {!census} used, after calling it on every
+    replica, so a record a block table still holds stays charged to
+    [consensus.blocks]. *)

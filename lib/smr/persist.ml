@@ -100,7 +100,7 @@ let wal_iter t f =
 (* Heap census: durable keys/payloads plus WAL bookkeeping. Keys in
    [wal_seen]/[wal_pending] are shared with [durable], so those tables
    contribute bucket overhead only. *)
-let approx_live_words t =
+let approx_live_words ?(charge_data = fun ~key:_ _ -> None) t =
   let words = ref (16 + (3 * List.length t.wal_keys)) in
   Hashtbl.iter
     (fun key data ->
@@ -108,10 +108,18 @@ let approx_live_words t =
         !words + 6
         + ((String.length key + 8) / 8)
         + (match data with
-          | Some d -> 2 + ((String.length d + 8) / 8)
+          | Some d -> (
+              2
+              + match charge_data ~key d with
+                | Some w -> w
+                | None -> (String.length d + 8) / 8)
           | None -> 0))
     t.durable;
   !words + (4 * (Hashtbl.length t.wal_seen + Hashtbl.length t.wal_pending))
+
+let census_parts t =
+  [ Obj.repr t.durable; Obj.repr t.wal_keys; Obj.repr t.wal_seen;
+    Obj.repr t.wal_pending ]
 
 let crash t =
   t.epoch <- t.epoch + 1;

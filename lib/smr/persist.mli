@@ -65,9 +65,18 @@ val wal_iter : t -> (key:string -> data:string -> unit) -> unit
 (** Iterate durable records in durability order — the disk queue is FIFO,
     so this equals append order, and a prefix of it survives any crash. *)
 
-val approx_live_words : t -> int
+val approx_live_words :
+  ?charge_data:(key:string -> string -> int option) -> t -> int
 (** Heap-census hook: word estimate of the durable table (keys and stored
-    payloads) and WAL bookkeeping. See docs/PROFILING.md. *)
+    payloads) and WAL bookkeeping. [charge_data ~key data] may return the
+    words to charge for a payload that other state shares (0 when already
+    charged there); [None] charges the string itself. See
+    docs/PROFILING.md. *)
+
+val census_parts : t -> Obj.t list
+(** The heap values {!approx_live_words} charges: the durable table and the
+    WAL bookkeeping. For checking the census against
+    [Obj.reachable_words]. *)
 
 val crash : t -> unit
 (** Simulate the node's process dying: writes scheduled but not yet

@@ -376,7 +376,8 @@ let run spec =
   (* End-of-run heap census: per-subsystem live words summed across
      replicas, plus the shared engine/net/trace state. A block or vertex
      reaches every replica as one shared value, so [consensus.blocks] and
-     [dag.store] charge each physically distinct one once. Every
+     [dag.store] charge each physically distinct one once, and [wal] only
+     the block records no block table holds. Every
      contribution is a deterministic function of end-of-run data
      structures, so the table is byte-identical across same-seed runs. *)
   let census =
@@ -388,7 +389,14 @@ let run spec =
     let charge = Block.charge_once ()
     and charge_vertex = Vertex.charge_once () in
     Array.iter
-      (fun node -> List.iter bump (Node.census ~charge ~charge_vertex node))
+      (fun node ->
+        List.iter bump (Node.census ~charge:charge.block ~charge_vertex node))
+      nodes;
+    Array.iter
+      (fun node ->
+        match Node.wal_census ~charge node with
+        | Some w -> bump ("wal", w)
+        | None -> ())
       nodes;
     bump ("sim.engine", Engine.approx_live_words engine);
     bump ("sim.net", Net.approx_live_words net);

@@ -43,10 +43,12 @@ let set_header buf i ~id ~client ~created_at ~size =
    written little-endian in 8 bytes. It is streamed through one fixed
    chunk in the same pass that sums the wire size, so no temporary grows
    with the block: 12000-transaction blocks are built on every proposal of
-   a large-block run. *)
+   a large-block run. The whole pass runs inside the [sha256] profiler
+   section. *)
 let chunk_bytes = 1024
 
 let of_fields ~proposer ~round record =
+  Clanbft_obs.Prof.enter Sha256.section;
   let chunk = Bytes.create chunk_bytes in
   let put pos v =
     Bytes.set_int64_le chunk pos (Int64.logand (Int64.of_int v) Int64.max_int)
@@ -69,13 +71,9 @@ let of_fields ~proposer ~round record =
     pos := !pos + txn_bytes
   done;
   Sha256.feed_bytes ctx chunk ~pos:0 ~len:!fill;
-  {
-    proposer;
-    round;
-    record;
-    digest = Digest32.of_raw (Sha256.finalize ctx);
-    wire_size = !wire;
-  }
+  let digest = Digest32.of_raw (Sha256.finalize ctx) in
+  Clanbft_obs.Prof.leave Sha256.section;
+  { proposer; round; record; digest; wire_size = !wire }
 
 let seal ~proposer ~round buf =
   let len = Bytes.length buf in
@@ -122,13 +120,71 @@ let iter_txns t f =
     f (txn t i)
   done
 
-(* Words, headers included: the 5-field record, the digest string (32
-   bytes plus the padding word) and the record string. *)
-let approx_live_words t =
-  6 + ((Digest32.size / 8) + 2) + ((String.length t.record / 8) + 2)
+(* Words, headers included: the 5-field record and the digest string (32
+   bytes plus the padding word), then the record string. *)
+let shell_words = 6 + ((Digest32.size / 8) + 2)
+let record_words s = (String.length s / 8) + 2
+let approx_live_words t = shell_words + record_words t.record
 
+type charger = { block : t -> int; record : string -> int }
+
+let rec holds_record s = function
+  | [] -> false
+  | (b : t) :: rest -> b.record == s || holds_record s rest
+
+(* Blocks are filed by digest, as [Digest32.charge_once] files them. A
+   block rebuilt from a journalled record (WAL replay) has the digest and
+   the very record string of the original, so a record is looked for among
+   the blocks under its digest first. Records charged on their own (WAL
+   entries) need an index by proposer and round; it is built on the first
+   such call, so a census without a WAL allocates nothing more than one
+   over blocks alone. Strings are compared with [==] throughout. *)
 let charge_once () =
-  Digest32.charge_once (fun t -> t.digest) approx_live_words ()
+  let blocks = Digest32.Tbl.create 64 and records = ref None in
+  let note idx s =
+    let key = (get_u32 s 0, get_u32 s 4) in
+    Hashtbl.replace idx key
+      (s :: Option.value ~default:[] (Hashtbl.find_opt idx key))
+  in
+  let noted idx s =
+    match Hashtbl.find_opt idx (get_u32 s 0, get_u32 s 4) with
+    | Some same -> List.memq s same
+    | None -> false
+  in
+  let block (b : t) =
+    let same = Option.value ~default:[] (Digest32.Tbl.find_opt blocks b.digest) in
+    if List.memq b same then 0
+    else begin
+      Digest32.Tbl.replace blocks b.digest (b :: same);
+      if holds_record b.record same then shell_words
+      else
+        match !records with
+        | Some idx when noted idx b.record -> shell_words
+        | Some idx ->
+            note idx b.record;
+            shell_words + record_words b.record
+        | None -> shell_words + record_words b.record
+    end
+  in
+  let record s =
+    let idx =
+      match !records with
+      | Some idx -> idx
+      | None ->
+          let idx = Hashtbl.create 64 in
+          Digest32.Tbl.iter
+            (fun _ same -> List.iter (fun (b : t) -> note idx b.record) same)
+            blocks;
+          records := Some idx;
+          idx
+    in
+    if noted idx s then 0
+    else begin
+      note idx s;
+      record_words s
+    end
+  in
+  { block; record }
 
 let pp ppf t =
   Format.fprintf ppf "block(%d@r%d,%d txns,%a)" t.proposer t.round

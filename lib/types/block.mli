@@ -78,9 +78,19 @@ val approx_live_words : t -> int
     string. The modelled payload bytes are not on the heap and are not
     counted. See docs/PROFILING.md. *)
 
-val charge_once : unit -> t -> int
-(** A fresh charger: {!approx_live_words} the first time it meets a
-    physically distinct block, 0 after. Replicas of one simulation share
-    block values, so a census over all of them charges each block once. *)
+type charger = {
+  block : t -> int;
+      (** The words of a physically distinct block the first time the
+          charger meets it, 0 after; its record string is charged only if
+          no earlier call charged that same string. *)
+  record : string -> int;
+      (** The words of a record string the first time the charger meets
+          that physical string, through either field; 0 after. *)
+}
+
+val charge_once : unit -> charger
+(** A fresh charger. Replicas of one simulation share block values, and a
+    WAL block entry is the block's own record string ({!Codec.encode_block}),
+    so a census over all of them charges each block, and each record, once. *)
 
 val pp : Format.formatter -> t -> unit

@@ -22,6 +22,7 @@ type t = {
 
 let compute_digest ~round ~source ~block_digest ~strong_edges ~weak_edges ~nvc
     ~tc =
+  Clanbft_obs.Prof.enter Sha256.section;
   let ctx = Sha256.init () in
   Sha256.feed_string ctx (Printf.sprintf "vertex|%d|%d|" round source);
   Sha256.feed_string ctx (Digest32.to_raw block_digest);
@@ -43,7 +44,9 @@ let compute_digest ~round ~source ~block_digest ~strong_edges ~weak_edges ~nvc
   in
   feed_cert "nvc:" nvc;
   feed_cert "tc:" tc;
-  Digest32.of_raw (Sha256.finalize ctx)
+  let digest = Digest32.of_raw (Sha256.finalize ctx) in
+  Clanbft_obs.Prof.leave Sha256.section;
+  digest
 
 let make ~round ~source ~block_digest ~strong_edges ~weak_edges
     ?(compact = false) ?nvc ?tc () =

@@ -422,7 +422,7 @@ let test_census_blocks_charged_once () =
   start w;
   Engine.run ~until:(Time.s 2.) w.engine;
   let replicas = List.init n (node w) in
-  let charge = Block.charge_once () in
+  let charge = (Block.charge_once ()).block in
   let row =
     List.fold_left
       (fun acc s -> acc + List.assoc "consensus.blocks" (Sailfish.census ~charge s))
@@ -498,6 +498,93 @@ let test_census_vertices_charged_once () =
        per_replica row)
     true
     (per_replica > 10 * row)
+
+(* A WAL block entry is the block's own record string, shared with every
+   replica that holds the block. With one {!Block.charge_once} across the
+   census, [wal] plus [consensus.blocks] equals the words reachable from
+   every replica's WAL and block table taken as one root (less the cells of
+   the lists that gather them), within 2%. The run persists, and replica 5
+   restarts from its WAL, so replayed blocks are fresh values over the
+   journalled record strings. Charged without the shared charger, the WAL
+   counts each record once per replica again. *)
+let test_census_wal_shares_block_records () =
+  let n = 16 and load = 200 in
+  let engine = Engine.create () in
+  let net =
+    Net.create ~engine
+      ~topology:(Topology.uniform ~n ~one_way_ms:10.)
+      ~config:{ Net.default_config with jitter = 0.0 }
+      ~size:(Msg.wire_size ~n) ~rng:(Rng.create 3L) ()
+  in
+  let keychain = Keychain.create ~seed:5L ~n in
+  let config = Config.make ~n Config.Full in
+  let persist = Array.init n (fun _ -> Persist.create ~engine ()) in
+  let next = ref 0 in
+  let make_node me =
+    Node.create ~me ~config ~keychain ~engine ~net ~persist:persist.(me)
+      ~generate:(fun ~round:_ ->
+        let record = Block.new_record load in
+        for i = 0 to load - 1 do
+          incr next;
+          Block.set_header record i ~id:!next ~client:me
+            ~created_at:(Engine.now engine) ~size:256
+        done;
+        record)
+      ()
+  in
+  let nodes = Array.init n make_node in
+  Engine.schedule_at engine (Time.s 1.) (fun () -> Node.stop nodes.(5));
+  Engine.schedule_at engine (Time.s 2.) (fun () ->
+      let node = make_node 5 in
+      nodes.(5) <- node;
+      Node.recover node;
+      Node.start_recovered node);
+  Array.iter Node.start nodes;
+  Engine.run ~until:(Time.s 4.) engine;
+  let replicas = Array.to_list (Array.map Node.consensus nodes) in
+  Alcotest.(check bool) "replica 5 replayed and caught up" true
+    (Sailfish.current_round (Node.consensus nodes.(5)) > 100);
+  let charge = Block.charge_once () in
+  let blocks_row =
+    Array.fold_left
+      (fun acc node ->
+        acc
+        + List.assoc "consensus.blocks" (Node.census ~charge:charge.block node))
+      0 nodes
+  in
+  let wal_row =
+    Array.fold_left
+      (fun acc node -> acc + Option.get (Node.wal_census ~charge node))
+      0 nodes
+  in
+  let unshared =
+    Array.fold_left (fun acc p -> acc + Persist.approx_live_words p) 0 persist
+  in
+  let blocks =
+    List.concat_map
+      (fun s ->
+        List.concat
+          (List.init (Sailfish.current_round s + 10) (fun round ->
+               List.filter_map
+                 (fun source -> Sailfish.block_of s ~round ~source)
+                 (List.init n Fun.id))))
+      replicas
+  in
+  let wals = List.concat_map Persist.census_parts (Array.to_list persist) in
+  let measured =
+    Obj.reachable_words (Obj.repr (wals, blocks))
+    - 3 - (3 * List.length wals) - (3 * List.length blocks)
+  in
+  let row = wal_row + blocks_row in
+  Alcotest.(check bool)
+    (Printf.sprintf "wal %d + blocks %d = %d vs runtime %d words" wal_row
+       blocks_row row measured)
+    true
+    (abs (row - measured) * 50 <= measured);
+  Alcotest.(check bool)
+    (Printf.sprintf "unshared wal %d over-counts the heap %d" unshared measured)
+    true
+    (unshared > 2 * measured)
 
 let test_single_clan_traffic_asymmetry () =
   (* Outsiders receive vertices but never payloads: their ingress must be
@@ -615,6 +702,8 @@ let suites =
           test_census_blocks_charged_once;
         Alcotest.test_case "census charges shared vertices once" `Slow
           test_census_vertices_charged_once;
+        Alcotest.test_case "census charges WAL block records once" `Slow
+          test_census_wal_shares_block_records;
         Alcotest.test_case "single-clan traffic asymmetry" `Slow
           test_single_clan_traffic_asymmetry;
       ] );

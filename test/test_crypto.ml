@@ -17,16 +17,82 @@ let nist_vectors =
       "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1" );
   ]
 
+let reference_hex s = Clanbft.Util.Hex.encode (Sha256.Reference.digest_string s)
+
+(* Both compression paths: the default one (the SHA-NI kernel where CPUID
+   reports it) and the OCaml reference. *)
 let test_sha_vectors () =
   List.iter
     (fun (input, expected) ->
-      Alcotest.(check string) input expected (Sha256.hex_of_string input))
+      Alcotest.(check string) input expected (Sha256.hex_of_string input);
+      Alcotest.(check string) ("reference " ^ input) expected
+        (reference_hex input))
     nist_vectors
 
 let test_sha_million_a () =
-  Alcotest.(check string) "1M x 'a'"
+  let expected =
     "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-    (Sha256.hex_of_string (String.make 1_000_000 'a'))
+  and input = String.make 1_000_000 'a' in
+  Alcotest.(check string) "1M x 'a'" expected (Sha256.hex_of_string input);
+  Alcotest.(check string) "reference 1M x 'a'" expected (reference_hex input)
+
+(* A build that silently loses the kernel, or a probe that misreads CPUID,
+   fails here by name rather than as a slower benchmark. *)
+let test_sha_kernel_active () =
+  match In_channel.with_open_text "/proc/cpuinfo" In_channel.input_all with
+  | exception Sys_error _ -> ()
+  | cpuinfo ->
+      let has_sha_ni =
+        String.split_on_char '\n' cpuinfo
+        |> List.exists (fun line ->
+               String.starts_with ~prefix:"flags" line
+               && List.mem "sha_ni" (String.split_on_char ' ' line))
+      in
+      if has_sha_ni then
+        Alcotest.(check bool) "cpuinfo lists sha_ni: kernel in use" true
+          Sha256.accelerated
+
+(* The kernel against the OCaml reference, fed at the same random split
+   points through [feed_bytes] (from an offset inside a larger buffer) and
+   [feed_string], so the top-up, multi-block bulk and padding paths all run
+   on both. *)
+let prop_sha_kernel_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      pair
+        (string_size ~gen:char (int_range 0 4096))
+        (list_size (int_range 0 8) (int_range 0 4096)))
+  in
+  QCheck.Test.make ~name:"kernel digest equals the OCaml reference" ~count:300
+    (QCheck.make
+       ~print:(fun (s, cuts) ->
+         Printf.sprintf "len %d, cuts [%s]" (String.length s)
+           (String.concat ";" (List.map string_of_int cuts)))
+       gen)
+    (fun (s, cuts) ->
+      let len = String.length s in
+      let cuts = List.sort_uniq compare (List.map (fun c -> c mod (len + 1)) cuts) in
+      let padded = Bytes.of_string ("pre" ^ s ^ "post") in
+      let feed ~feed_bytes ~feed_string ~finalize =
+        let ctx = Sha256.init () in
+        let last =
+          List.fold_left
+            (fun (i, from) cut ->
+              if i land 1 = 0 then
+                feed_bytes ctx padded ~pos:(3 + from) ~len:(cut - from)
+              else feed_string ctx (String.sub s from (cut - from));
+              (i + 1, cut))
+            (0, 0) cuts
+          |> snd
+        in
+        feed_bytes ctx padded ~pos:(3 + last) ~len:(len - last);
+        finalize ctx
+      in
+      let fast = Sha256.(feed ~feed_bytes ~feed_string ~finalize)
+      and slow = Sha256.Reference.(feed ~feed_bytes ~feed_string ~finalize) in
+      String.equal fast slow
+      && String.equal fast (Sha256.Reference.digest_string s)
+      && String.equal fast (Sha256.digest_string s))
 
 let test_sha_block_boundaries () =
   (* Lengths straddling the 64-byte block and the 55/56-byte padding edge. *)
@@ -288,8 +354,10 @@ let suites =
         Alcotest.test_case "million a" `Slow test_sha_million_a;
         Alcotest.test_case "block boundaries" `Quick test_sha_block_boundaries;
         Alcotest.test_case "finalize twice" `Quick test_sha_finalize_twice;
+        Alcotest.test_case "kernel active" `Quick test_sha_kernel_active;
         qtest prop_sha_incremental;
         qtest prop_sha_chunked;
+        qtest prop_sha_kernel_matches_reference;
       ] );
     ( "crypto.digest32",
       [
